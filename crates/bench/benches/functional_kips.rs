@@ -4,9 +4,9 @@
 //! functionally (`FastForward`, warming caches/TLB/predictor without
 //! pipeline modeling) or cycle-by-cycle (`Core`), so the median ratio in
 //! the saved baseline is the fast-forward speedup directly; the sampling
-//! design (DESIGN.md §15) requires it to stay ≥10×. Two more entries
-//! price the checkpoint path: serializing a warm state and booting a
-//! detailed core from it.
+//! design (DESIGN.md §15) requires it to stay ≥10×. Three more entries
+//! price the checkpoint path: serializing a warm state, parsing and
+//! restoring it from its bytes, and booting a detailed core from it.
 //!
 //! Save a baseline with
 //! `cargo bench -p specmpk-bench --bench functional_kips -- --save-baseline main`
@@ -14,6 +14,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use specmpk_ooo::{Checkpoint, Core, FastForward, SimConfig};
+use specmpk_trace::Json;
 use specmpk_workloads::standard_suite;
 
 /// Instructions executed per benchmark iteration — matches `sim_kips` so
@@ -42,12 +43,20 @@ fn functional_kips(c: &mut Criterion) {
         })
     });
     // Checkpoint costs, amortized once per sampled window: serializing a
-    // warm state to its byte format, and transplanting it into a core.
+    // warm state to its byte format, reading it back (`--restore`), and
+    // transplanting it into a core.
     let mut ff = FastForward::new(&SimConfig::default(), &program);
     assert!(ff.step_n(BUDGET).is_none());
     let cp = Checkpoint::capture(ff);
     group.bench_function("checkpoint_serialize", |b| {
         b.iter(|| black_box(&cp).to_json().dump().len())
+    });
+    let bytes = cp.to_json().dump();
+    group.bench_function("checkpoint_parse", |b| {
+        b.iter(|| {
+            let json = Json::parse(black_box(&bytes)).expect("checkpoint dump parses");
+            Checkpoint::from_json(&SimConfig::default(), &json).expect("checkpoint restores")
+        })
     });
     group.bench_function("restore_boot", |b| {
         b.iter(|| {

@@ -1,12 +1,14 @@
-//! End-to-end simulator throughput (retired kilo-instructions per second)
-//! per WRPKRU policy. One benchmark iteration is a full fixed-budget run
-//! of a protected workload, so the reported time divided by the budget is
-//! the simulator's instructions-per-second — the single-thread number the
-//! hot-path flattening PR optimizes.
+//! Detailed-core cost per WRPKRU policy. One benchmark iteration builds a
+//! `Core` for a protected workload and runs it for a fixed budget of
+//! retired instructions, so each saved median is nanoseconds per
+//! iteration — `Core::new` included — not a throughput. Divide the budget
+//! by it for a rough kIPS; the authoritative simulator throughput is the
+//! `sim_kips` metric of `specmpk-benchmark` (see its README), which times
+//! `Core::run` alone over much longer runs.
 //!
 //! Save a baseline with
 //! `cargo bench -p specmpk-bench --bench sim_kips -- --save-baseline main`
-//! (written to `benches/baselines/main.tsv`, which is committed).
+//! (merged into `benches/baselines/main.tsv`, which is committed).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use specmpk_core::WrpkruPolicy;
@@ -14,7 +16,8 @@ use specmpk_ooo::{Core, SimConfig};
 use specmpk_workloads::{bench_profiles, standard_suite, Workload};
 
 /// Instructions retired per benchmark iteration. Small enough that a
-/// criterion sample finishes quickly, large enough to swamp setup cost.
+/// criterion sample finishes quickly, large enough that `Core::new` is a
+/// minor share of the iteration.
 const BUDGET: u64 = 20_000;
 
 const POLICIES: [WrpkruPolicy; 3] =

@@ -156,8 +156,13 @@ impl PageTable {
                 read: row[1].as_bool().ok_or("page table: bad read bit")?,
                 write: row[2].as_bool().ok_or("page table: bad write bit")?,
                 exec: row[3].as_bool().ok_or("page table: bad exec bit")?,
-                pkey: Pkey::new(row[4].as_u64().ok_or("page table: bad pkey")? as u8)
-                    .map_err(|e| format!("page table: {e}"))?,
+                pkey: Pkey::new(
+                    row[4]
+                        .as_u64()
+                        .and_then(|k| u8::try_from(k).ok())
+                        .ok_or("page table: bad pkey")?,
+                )
+                .map_err(|e| format!("page table: {e}"))?,
             };
             self.entries.insert(vpn, pte);
         }
@@ -241,6 +246,17 @@ mod tests {
         let e = PageTableEntry { read: true, write: false, exec: false, pkey: Pkey::DEFAULT };
         assert!(e.allows(AccessKind::Read));
         assert!(!e.allows(AccessKind::Write));
+    }
+
+    #[test]
+    fn restore_refuses_out_of_range_pkeys() {
+        let mut pt = PageTable::new();
+        // 260 must not wrap around to the valid pkey 4.
+        for pkey in [16, 260] {
+            let text = format!(r#"{{"entries":[["0xa",true,true,false,{pkey}]]}}"#);
+            let snap = specmpk_trace::Json::parse(&text).unwrap();
+            assert!(pt.restore_snapshot(&snap).is_err(), "pkey {pkey} accepted");
+        }
     }
 
     #[test]

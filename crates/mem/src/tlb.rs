@@ -304,8 +304,10 @@ impl Tlb {
                 read: row[3].as_bool().ok_or("tlb: bad read bit")?,
                 write: row[4].as_bool().ok_or("tlb: bad write bit")?,
                 exec: row[5].as_bool().ok_or("tlb: bad exec bit")?,
-                pkey: Pkey::new(row[6].as_u64().ok_or("tlb: bad pkey")? as u8)
-                    .map_err(|e| format!("tlb: {e}"))?,
+                pkey: Pkey::new(
+                    row[6].as_u64().and_then(|k| u8::try_from(k).ok()).ok_or("tlb: bad pkey")?,
+                )
+                .map_err(|e| format!("tlb: {e}"))?,
             };
             let way = self.ways.get_mut(idx).ok_or(format!("tlb: way index {idx} out of range"))?;
             way.entry = Some(TlbEntry { vpn, pte });
@@ -402,6 +404,20 @@ mod tests {
         assert!(restored.probe(10).is_some());
         assert!(restored.probe(20).is_none());
         assert_eq!(snap.dump(), tlb.snapshot().dump());
+    }
+
+    #[test]
+    fn restore_refuses_out_of_range_pkeys() {
+        let mut tlb = Tlb::new(TlbConfig { entries: 2, ways: 2, walk_latency: 10 });
+        // 260 must not wrap around to the valid pkey 4.
+        for pkey in [16, 260] {
+            let snap = specmpk_trace::Json::parse(&format!(
+                r#"{{"clock":0,"stats":{{"hits":0,"misses":0,"evictions":0,"flushes":0}},
+                    "entries":[[0,"0xa",0,true,true,false,{pkey}]]}}"#
+            ))
+            .unwrap();
+            assert!(tlb.restore_snapshot(&snap).is_err(), "pkey {pkey} accepted");
+        }
     }
 
     #[test]

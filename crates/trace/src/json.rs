@@ -1,16 +1,33 @@
 //! A dependency-free JSON value type, writer, and parser.
 //!
-//! The build container has no network access, so stats serialization
-//! cannot use `serde`; this module hand-rolls the small subset needed for
-//! experiment artifacts: construct a [`Json`] tree, [`Json::dump`] it with
-//! stable key order (objects are ordered vectors, not hash maps), and
-//! [`Json::parse`] it back for round-trip tests.
+//! The workspace builds offline with vendored crates only, so stats
+//! serialization cannot use `serde`; this module hand-rolls the small
+//! subset needed for experiment artifacts: construct a [`Json`] tree,
+//! [`Json::dump`] it with stable key order (objects are ordered vectors,
+//! not hash maps), and [`Json::parse`] it back.
 //!
 //! Numbers are stored as `f64`. Every counter in the simulator fits in 53
 //! bits by an enormous margin (2^53 cycles at the budgets this repo runs
 //! is out of reach), so u64 stats round-trip exactly.
+//!
+//! Both directions are linear in the document size, which matters for
+//! checkpoints (hundreds of KiB, mostly 8 KiB hex page strings):
+//!
+//! * the parser copies each run of plain string bytes up to the next `"`
+//!   or `\` in one step, and refuses documents nested deeper than
+//!   [`MAX_DEPTH`] with a "nesting too deep" [`JsonError`] instead of
+//!   overflowing the stack;
+//! * the writer appends into one caller-owned buffer — numbers are
+//!   formatted in place and unescaped string runs are copied whole — so
+//!   [`Json::write_compact`] streams many records (a JSONL file) into a
+//!   single `String` without a per-record allocation.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
+
+/// Deepest array/object nesting [`Json::parse`] accepts. Every artifact
+/// in this repository nests fewer than ten levels; the cap only exists so
+/// that hostile input returns an error rather than exhausting the stack.
+pub const MAX_DEPTH: usize = 512;
 
 /// A JSON value. Objects preserve insertion order so dumps are
 /// byte-stable across runs.
@@ -197,11 +214,14 @@ impl Json {
         out
     }
 
-    fn write_compact(&self, out: &mut String) {
+    /// Appends the [`Json::dump_compact`] form to `out`, leaving what is
+    /// already there untouched — the way to render many records (JSONL)
+    /// into one buffer.
+    pub fn write_compact(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => out.push_str(&format_number(*n)),
+            Json::Num(n) => write_number(out, *n),
             Json::Str(s) => write_string(out, s),
             Json::Arr(items) => {
                 out.push('[');
@@ -232,7 +252,7 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => out.push_str(&format_number(*n)),
+            Json::Num(n) => write_number(out, *n),
             Json::Str(s) => write_string(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
@@ -280,9 +300,10 @@ impl Json {
     /// # Errors
     ///
     /// Returns a [`JsonError`] describing the first syntax problem, with a
-    /// byte offset into the input.
+    /// byte offset into the input. Nesting deeper than [`MAX_DEPTH`] is an
+    /// error too.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -299,39 +320,43 @@ fn push_indent(out: &mut String, indent: usize) {
     }
 }
 
-fn format_number(n: f64) -> String {
+fn write_number(out: &mut String, n: f64) {
     if !n.is_finite() {
         // JSON has no NaN/Inf; stats code should never produce them, but a
         // defensive null beats emitting an unparseable token.
-        return "null".to_string();
-    }
-    if n.fract() == 0.0 && n.abs() < 9_007_199_254_740_992.0 {
-        format!("{}", n as i64)
+        out.push_str("null");
+    } else if n.fract() == 0.0 && n.abs() < 9_007_199_254_740_992.0 {
+        write!(out, "{}", n as i64).expect("writing to a String cannot fail");
     } else {
-        let s = format!("{n}");
-        if s.contains('.') || s.contains('e') || s.contains('E') {
-            s
-        } else {
-            format!("{s}.0")
+        let start = out.len();
+        write!(out, "{n}").expect("writing to a String cannot fail");
+        if !out[start..].contains(['.', 'e', 'E']) {
+            out.push_str(".0");
         }
     }
 }
 
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    // Every byte that needs escaping is ASCII, so `start..i` always falls
+    // on char boundaries and multi-byte UTF-8 is copied through verbatim.
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
         }
+        out.push_str(&s[start..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => write!(out, "\\u{b:04x}").expect("writing to a String cannot fail"),
+        }
+        start = i + 1;
     }
+    out.push_str(&s[start..]);
     out.push('"');
 }
 
@@ -355,6 +380,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -396,8 +423,15 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let nested = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                nested
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
@@ -459,59 +493,56 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the plain run up to the next quote or backslash in one
+            // step. Both are ASCII, so the run ends on a char boundary and
+            // multi-byte UTF-8 passes through whole.
+            let rest = &self.bytes[self.pos..];
+            let run = rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+            let text = std::str::from_utf8(&rest[..run])
+                .map_err(|_| self.err("invalid UTF-8 in string"))?;
+            out.push_str(text);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: expect \uDC00–\uDFFF next.
-                                if !self.bytes[self.pos..].starts_with(b"\\u") {
-                                    return Err(self.err("unpaired surrogate"));
-                                }
-                                self.pos += 2;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                char::from_u32(code)
-                            } else {
-                                char::from_u32(hi)
-                            };
-                            out.push(c.ok_or_else(|| self.err("invalid \\u escape"))?);
-                            continue;
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 is passed through; find the char at
-                    // this byte boundary.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => self.pos += 1, // the backslash of an escape
             }
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'u') => {
+                    self.pos += 1;
+                    let hi = self.hex4()?;
+                    let c = if (0xD800..0xDC00).contains(&hi) {
+                        // Surrogate pair: expect \uDC00–\uDFFF next.
+                        if !self.bytes[self.pos..].starts_with(b"\\u") {
+                            return Err(self.err("unpaired surrogate"));
+                        }
+                        self.pos += 2;
+                        let lo = self.hex4()?;
+                        if !(0xDC00..0xE000).contains(&lo) {
+                            return Err(self.err("invalid low surrogate"));
+                        }
+                        let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                        char::from_u32(code)
+                    } else {
+                        char::from_u32(hi)
+                    };
+                    out.push(c.ok_or_else(|| self.err("invalid \\u escape"))?);
+                    continue;
+                }
+                _ => return Err(self.err("invalid escape")),
+            }
+            self.pos += 1;
         }
     }
 
@@ -630,6 +661,60 @@ mod tests {
         j.set("k", 2u64);
         assert_eq!(j.get("k").unwrap().as_u64(), Some(2));
         assert_eq!(j.dump().matches("\"k\"").count(), 1);
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for doc in ["[".repeat(1_000_000), "{\"a\":".repeat(1_000_000)] {
+            let err = Json::parse(&doc).expect_err("a million open brackets must be refused");
+            assert_eq!(err.message, "nesting too deep");
+        }
+        // The cap itself is accepted, one more level is not.
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!((err.message.as_str(), err.offset), ("nesting too deep", MAX_DEPTH));
+    }
+
+    #[test]
+    fn escapes_and_multibyte_runs_serialize_exactly() {
+        let s = "a\"b\\c\nd\re\tf\u{1}g\u{1f}hπ😀\u{7f}";
+        let expected = r#""a\"b\\c\nd\re\tf\u0001g\u001fhπ😀"#.to_string() + "\u{7f}\"";
+        assert_eq!(Json::from(s).dump_compact(), expected);
+        assert_eq!(Json::parse(&expected).unwrap().as_str(), Some(s));
+    }
+
+    #[test]
+    fn string_errors_keep_their_offsets() {
+        let err = |doc: &str| Json::parse(doc).unwrap_err();
+        assert_eq!(err(r#""abcπ"#), JsonError { message: "unterminated string".into(), offset: 6 });
+        assert_eq!(err(r#""ab\q""#).message, "invalid escape");
+        assert_eq!(err(r#""ab\q""#).offset, 4);
+        assert_eq!(err(r#""\ud800x""#).message, "unpaired surrogate");
+    }
+
+    #[test]
+    fn write_compact_appends_to_the_buffer() {
+        let j = Json::object().with("n", 1.5).with("s", "x");
+        let mut out = String::from("prefix|");
+        j.write_compact(&mut out);
+        assert_eq!(out, format!("prefix|{}", j.dump_compact()));
+    }
+
+    #[test]
+    fn numbers_format_as_before() {
+        let cases: [(f64, &str); 7] = [
+            (0.0, "0"),
+            (-42.0, "-42"),
+            (1.875, "1.875"),
+            (9_007_199_254_740_992.0, "9007199254740992.0"),
+            (1e300, &format!("{}.0", 1e300)),
+            (f64::NAN, "null"),
+            (f64::INFINITY, "null"),
+        ];
+        for (n, text) in cases {
+            assert_eq!(Json::Num(n).dump_compact(), text, "{n}");
+        }
     }
 
     #[test]

@@ -455,12 +455,9 @@ impl LeakObserver {
     #[must_use]
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for e in &self.entries {
-            out.push_str(&e.to_json().dump_compact());
-            out.push('\n');
-        }
-        for s in &self.squashes {
-            out.push_str(&s.to_json().dump_compact());
+        let records = self.entries.iter().map(LedgerEntry::to_json);
+        for record in records.chain(self.squashes.iter().map(SquashRecord::to_json)) {
+            record.write_compact(&mut out);
             out.push('\n');
         }
         out

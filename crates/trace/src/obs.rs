@@ -419,7 +419,12 @@ pub const DEFAULT_JOURNAL_CAPACITY: usize = 65_536;
 /// causally ordered chains like WRPKRU → squash → replay storm.
 #[derive(Debug)]
 pub struct Journal {
-    records: VecDeque<String>,
+    /// Every retained record as JSONL, oldest first, preceded by `head`
+    /// bytes of evicted records not yet compacted away.
+    text: String,
+    head: usize,
+    /// Byte length of each retained line (newline included), oldest first.
+    lines: VecDeque<usize>,
     capacity: usize,
     dropped: u64,
 }
@@ -435,19 +440,25 @@ impl Journal {
     /// dropped first).
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Journal {
-        Journal { records: VecDeque::new(), capacity: capacity.max(1), dropped: 0 }
+        Journal {
+            text: String::new(),
+            head: 0,
+            lines: VecDeque::new(),
+            capacity: capacity.max(1),
+            dropped: 0,
+        }
     }
 
     /// Retained records.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.lines.len()
     }
 
     /// Whether nothing notable has been recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.lines.is_empty()
     }
 
     /// Records evicted because the ring was full.
@@ -456,28 +467,33 @@ impl Journal {
         self.dropped
     }
 
-    fn push(&mut self, line: String) {
-        if self.records.len() == self.capacity {
-            self.records.pop_front();
+    /// Appends one record to the text buffer, evicting the oldest when
+    /// the ring is full. Evicted bytes are compacted away once they
+    /// outweigh the live ones, so each byte is moved at most once more.
+    fn push_json(&mut self, json: Json) {
+        let start = self.text.len();
+        json.write_compact(&mut self.text);
+        self.text.push('\n');
+        self.lines.push_back(self.text.len() - start);
+        if self.lines.len() > self.capacity {
+            self.head += self.lines.pop_front().expect("ring is over capacity");
             self.dropped += 1;
+            if self.head > self.text.len() - self.head {
+                self.text.drain(..self.head);
+                self.head = 0;
+            }
         }
-        self.records.push_back(line);
     }
 
-    fn push_json(&mut self, json: Json) {
-        self.push(json.dump_compact());
+    fn jsonl(&self) -> &str {
+        &self.text[self.head..]
     }
 
     /// Renders the journal as JSONL text (one record per line, oldest
     /// first, trailing newline).
     #[must_use]
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for r in &self.records {
-            out.push_str(r);
-            out.push('\n');
-        }
-        out
+        self.jsonl().to_string()
     }
 
     /// Writes the journal to `path`.
@@ -486,7 +502,7 @@ impl Journal {
     ///
     /// Propagates the underlying I/O error.
     pub fn write_to(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_jsonl())
+        std::fs::write(path, self.jsonl())
     }
 
     /// Base record with the stable leading keys every line shares.
@@ -742,8 +758,21 @@ mod tests {
         }
         assert_eq!(j.len(), 2);
         assert_eq!(j.dropped_records(), 3);
-        assert!(j.to_jsonl().contains("\"seq\":4"));
-        assert!(!j.to_jsonl().contains("\"seq\":2"));
+        assert_eq!(
+            j.to_jsonl(),
+            "{\"event\":\"load_replay\",\"cycle\":3,\"seq\":3}\n\
+             {\"event\":\"load_replay\",\"cycle\":4,\"seq\":4}\n"
+        );
+        // Many more evictions than the ring holds: still exactly the
+        // newest records, in order.
+        for i in 5..1000u64 {
+            j.record(TraceEvent::ReplayBurst { seq: i, cycle: i, len: 2 });
+        }
+        assert_eq!(
+            j.to_jsonl(),
+            "{\"event\":\"replay_burst\",\"cycle\":998,\"seq\":998,\"len\":2}\n\
+             {\"event\":\"replay_burst\",\"cycle\":999,\"seq\":999,\"len\":2}\n"
+        );
     }
 
     #[test]

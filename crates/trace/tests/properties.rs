@@ -1,11 +1,71 @@
-//! Property-based tests for the log2-bucketed histogram.
+//! Property-based tests for the log2-bucketed histogram and the JSON
+//! writer/parser.
 
 // Gated so the workspace still builds/tests with --no-default-features.
 #![cfg(feature = "proptest")]
 
 use proptest::prelude::*;
 use specmpk_trace::histogram::{bucket_bounds, bucket_index, NUM_BUCKETS};
-use specmpk_trace::Histogram;
+use specmpk_trace::{Histogram, Json};
+
+/// Characters covering every writer and parser path: plain ASCII runs,
+/// the two escaped printables, the named and `\u00XX` control escapes,
+/// DEL (not escaped), two- and three-byte UTF-8, and four-byte astral
+/// characters.
+const CHARS: &str = "aZ0 /\"\\\n\r\t\u{0}\u{8}\u{c}\u{1f}\u{7f}éπ中\u{ffff}😀\u{10ffff}";
+
+fn random_string(rng: &mut TestRng) -> String {
+    let chars: Vec<char> = CHARS.chars().collect();
+    (0..rng.below(24))
+        .map(|_| {
+            // Half plain letters, so unescaped runs of several bytes occur.
+            if rng.below(2) == 0 {
+                char::from(b'a' + rng.below(26) as u8)
+            } else {
+                chars[rng.below(chars.len() as u64) as usize]
+            }
+        })
+        .collect()
+}
+
+fn random_number(rng: &mut TestRng) -> f64 {
+    match rng.below(3) {
+        // Exact integers of either sign (the counter path).
+        0 => rng.below(1 << 53) as f64 * if rng.below(2) == 0 { 1.0 } else { -1.0 },
+        // Short fractions (the ratio path).
+        1 => rng.below(1000) as f64 / 8.0 - 50.0,
+        // Any finite double, huge and subnormal included.
+        _ => loop {
+            let n = f64::from_bits(rng.next_u64());
+            if n.is_finite() {
+                break n;
+            }
+        },
+    }
+}
+
+/// Random [`Json`] trees at most `depth` containers deep.
+struct JsonTree {
+    depth: u32,
+}
+
+impl Strategy for JsonTree {
+    type Value = Json;
+
+    fn generate(&self, rng: &mut TestRng) -> Json {
+        let child = JsonTree { depth: self.depth.saturating_sub(1) };
+        match rng.below(if self.depth == 0 { 4 } else { 6 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.below(2) == 1),
+            2 => Json::Num(random_number(rng)),
+            3 => Json::Str(random_string(rng)),
+            4 => Json::Arr((0..rng.below(5)).map(|_| child.generate(rng)).collect()),
+            _ => Json::Obj(
+                (0..rng.below(5)).map(|_| (random_string(rng), child.generate(rng))).collect(),
+            ),
+        }
+    }
+}
 
 fn build(values: &[u64]) -> Histogram {
     let mut h = Histogram::new();
@@ -85,5 +145,27 @@ proptest! {
         prop_assert_eq!(parsed.get("count").unwrap().as_u64(), Some(h.count()));
         prop_assert_eq!(parsed.get("sum").unwrap().as_u64(), Some(h.sum()));
         prop_assert_eq!(parsed.get("p90").unwrap().as_f64(), Some(h.p90()));
+    }
+
+    /// Both serializations parse back to the same tree, and the compact
+    /// form stays on one line whatever the strings contain.
+    #[test]
+    fn json_dumps_round_trip(tree in JsonTree { depth: 4 }) {
+        prop_assert_eq!(Json::parse(&tree.dump()).expect("dump parses"), tree.clone());
+        let compact = tree.dump_compact();
+        prop_assert!(!compact.bytes().any(|b| b < 0x20), "raw control byte in {compact:?}");
+        prop_assert_eq!(Json::parse(&compact).expect("dump_compact parses"), tree);
+    }
+
+    /// Streaming into a non-empty buffer appends exactly the compact form.
+    #[test]
+    fn write_compact_appends_dump_compact(
+        tree in JsonTree { depth: 3 },
+        prefix in prop::sample::select(vec!["", "x", "{\"a\":1}\n", "π😀"]),
+    ) {
+        let mut out = prefix.to_string();
+        tree.write_compact(&mut out);
+        let compact = tree.dump_compact();
+        prop_assert_eq!(out.strip_prefix(prefix), Some(compact.as_str()));
     }
 }

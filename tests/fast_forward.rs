@@ -145,3 +145,87 @@ fn resumed_fast_forward_reaches_the_same_state() {
     let direct = checkpoint_at(&program, k1 + k2).to_json().dump();
     assert_eq!(via_resume, direct, "resume path diverged from a direct fast-forward");
 }
+
+/// Restoring from text is total: whatever the bytes, `Json::parse` →
+/// `Checkpoint::from_json` returns a checkpoint or an error message and
+/// never panics. Returns which stage refused the input, if any.
+fn restore_outcome(label: &str, text: &str) -> Result<(), &'static str> {
+    let outcome = std::panic::catch_unwind(|| {
+        let json = specmpk::trace::Json::parse(text).map_err(|_| "parse")?;
+        Checkpoint::from_json(&SimConfig::default(), &json).map(drop).map_err(|_| "from_json")
+    });
+    outcome.unwrap_or_else(|_| panic!("{label}: restoring the checkpoint panicked"))
+}
+
+/// Truncated, bit-flipped and random-byte versions of a real checkpoint
+/// file: every one restores or is refused with an error.
+#[test]
+fn corrupted_checkpoints_are_refused_without_panicking() {
+    use proptest::prelude::TestRng;
+
+    let w = short(&standard_suite()[0], 20);
+    let program = w.build_protected();
+    let executed = Interp::new(&program, Pkru::ALL_ACCESS).run(20_000_000).executed;
+    let golden = checkpoint_at(&program, executed / 3).to_json().dump();
+    assert_eq!(restore_outcome("golden", &golden), Ok(()));
+    let bytes = golden.as_bytes();
+    let mut rng = TestRng::deterministic("corrupted_checkpoints_are_refused_without_panicking");
+
+    // Every prefix length near both ends, and evenly spaced ones between
+    // (dropping only the trailing newline leaves a valid document).
+    let n = bytes.len();
+    let cuts = (0..64).chain((0..256).map(|i| i * n / 256)).chain(n - 64..n - 1);
+    for cut in cuts {
+        let text = String::from_utf8_lossy(&bytes[..cut]);
+        assert!(restore_outcome(&format!("truncated at {cut}"), &text).is_err());
+    }
+
+    // Single bit flips. Most of the file is page payload, so half of the
+    // flips target the structural bytes outside long hex runs, where a
+    // flip changes a field, a number or the document's shape.
+    let mut structural = Vec::new();
+    let mut run_start = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        if !b.is_ascii_hexdigit() {
+            if i - run_start < 32 {
+                structural.extend(run_start..=i);
+            } else {
+                structural.push(i);
+            }
+            run_start = i + 1;
+        }
+    }
+    let (mut refused_by_parse, mut refused_by_restore, mut restored) = (0, 0, 0);
+    for case in 0..400 {
+        let pos = if case % 2 == 0 {
+            structural[rng.below(structural.len() as u64) as usize]
+        } else {
+            rng.below(n as u64) as usize
+        };
+        let mut flipped = bytes.to_vec();
+        flipped[pos] ^= 1 << rng.below(8);
+        let text = String::from_utf8_lossy(&flipped);
+        match restore_outcome(&format!("bit flip at {pos}"), &text) {
+            Err("parse") => refused_by_parse += 1,
+            Err(_) => refused_by_restore += 1,
+            Ok(()) => restored += 1,
+        }
+    }
+    // Each outcome occurs, so both validation layers were exercised.
+    assert!(refused_by_parse > 0 && refused_by_restore > 0 && restored > 0);
+
+    // Random bytes: whole documents, and random windows spliced in.
+    for case in 0..200 {
+        let noise: Vec<u8> = (0..rng.below(64)).map(|_| rng.next_u64() as u8).collect();
+        let text = if case % 2 == 0 {
+            String::from_utf8_lossy(&noise).into_owned()
+        } else {
+            let at = rng.below(n as u64) as usize;
+            let mut spliced = bytes[..at].to_vec();
+            spliced.extend_from_slice(&noise);
+            spliced.extend_from_slice(&bytes[(at + noise.len()).min(n)..]);
+            String::from_utf8_lossy(&spliced).into_owned()
+        };
+        let _ = restore_outcome(&format!("random bytes, case {case}"), &text);
+    }
+}
