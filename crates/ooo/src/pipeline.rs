@@ -150,7 +150,7 @@ impl SimResult {
 /// The core is generic over a [`TraceSink`]; the default [`NullSink`]
 /// makes every instrumentation point a dead branch, so uninstrumented
 /// runs pay nothing. Use [`Core::with_sink`] to attach a recorder such as
-/// [`specmpk_trace::PipeTracer`] or [`specmpk_trace::EventLog`].
+/// [`specmpk_trace::PipeTracer`] or [`specmpk_trace::LeakObserver`].
 ///
 /// [`run`]: Core::run
 #[derive(Debug)]

@@ -210,7 +210,7 @@ pub(crate) fn rename<S: TraceSink>(st: &mut PipelineState, cx: &mut StageCtx<'_,
                 pc: f.pc,
                 fetch_cycle: f.ready_cycle - st.config.frontend_depth,
                 cycle: st.cycle,
-                disasm: instr.to_string(),
+                instr,
             });
             if let Some(tag) = pkru_tag {
                 cx.sink.record(TraceEvent::RobPkruAlloc {

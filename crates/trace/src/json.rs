@@ -6,6 +6,12 @@
 //! [`Json::dump`] it with stable key order (objects are ordered vectors,
 //! not hash maps), and [`Json::parse`] it back.
 //!
+//! Records written by the thousand (journal and ledger lines) skip the
+//! tree: an [`ObjectWriter`] appends one flat object field by field
+//! straight into the caller's buffer, through the same number and string
+//! writers, so its bytes are exactly what [`Json::write_compact`] would
+//! emit for the equivalent tree and no field allocates.
+//!
 //! Numbers are stored as `f64`. Every counter in the simulator fits in 53
 //! bits by an enormous margin (2^53 cycles at the budgets this repo runs
 //! is out of reach), so u64 stats round-trip exactly.
@@ -358,6 +364,84 @@ fn write_string(out: &mut String, s: &str) {
     }
     out.push_str(&s[start..]);
     out.push('"');
+}
+
+/// Appends one compact JSON object to a buffer, field by field.
+///
+/// The flat-record counterpart of building a [`Json::object`] and calling
+/// [`Json::write_compact`]: the same bytes, with no tree, no owned keys
+/// and no per-field allocation. Fields appear in call order;
+/// [`ObjectWriter::finish`] closes the object.
+///
+/// ```
+/// use specmpk_trace::json::ObjectWriter;
+/// let mut out = String::new();
+/// ObjectWriter::new(&mut out).str("event", "squash").u64("cycle", 7).hex("pc", 0x1f).finish();
+/// assert_eq!(out, r#"{"event":"squash","cycle":7,"pc":"0x1f"}"#);
+/// ```
+#[derive(Debug)]
+#[must_use = "an object is only closed by `finish`"]
+pub struct ObjectWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> ObjectWriter<'a> {
+    /// Opens an object at the end of `out`, leaving what is already there
+    /// untouched.
+    pub fn new(out: &'a mut String) -> ObjectWriter<'a> {
+        out.push('{');
+        ObjectWriter { out, empty: true }
+    }
+
+    /// Writes the separator and `"key":`, returning the buffer for the
+    /// value.
+    fn key(&mut self, key: &str) -> &mut String {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        write_string(self.out, key);
+        self.out.push(':');
+        self.out
+    }
+
+    /// A string field.
+    pub fn str(mut self, key: &str, value: &str) -> Self {
+        write_string(self.key(key), value);
+        self
+    }
+
+    /// A number field, written as `Json::from(value)` is (exact below
+    /// 2^53, see the module docs).
+    pub fn u64(mut self, key: &str, value: u64) -> Self {
+        write_number(self.key(key), value as f64);
+        self
+    }
+
+    /// A boolean field.
+    pub fn bool(mut self, key: &str, value: bool) -> Self {
+        self.key(key).push_str(if value { "true" } else { "false" });
+        self
+    }
+
+    /// A `"0x…"` lower-hex string field, as [`Json::hex`] renders it.
+    pub fn hex(mut self, key: &str, value: u64) -> Self {
+        write!(self.key(key), "\"{value:#x}\"").expect("writing to a String cannot fail");
+        self
+    }
+
+    /// A `"0x…"` string field of a 32-bit value zero-padded to eight hex
+    /// digits (the PKRU rendering).
+    pub fn hex32(mut self, key: &str, value: u32) -> Self {
+        write!(self.key(key), "\"{value:#010x}\"").expect("writing to a String cannot fail");
+        self
+    }
+
+    /// Closes the object.
+    pub fn finish(self) {
+        self.out.push('}');
+    }
 }
 
 /// A parse failure with a byte offset into the input.
@@ -715,6 +799,32 @@ mod tests {
         for (n, text) in cases {
             assert_eq!(Json::Num(n).dump_compact(), text, "{n}");
         }
+    }
+
+    #[test]
+    fn object_writer_matches_the_tree_writer() {
+        for big in [0u64, 1 << 53, (1 << 53) + 1, u64::MAX] {
+            let tree = Json::object()
+                .with("s", "a\"b\n")
+                .with("n", big)
+                .with("t", true)
+                .with("f", false)
+                .with("h", Json::hex(big))
+                .with("k", format!("{:#010x}", 0xfeu32));
+            let mut out = String::from("prefix|");
+            ObjectWriter::new(&mut out)
+                .str("s", "a\"b\n")
+                .u64("n", big)
+                .bool("t", true)
+                .bool("f", false)
+                .hex("h", big)
+                .hex32("k", 0xfe)
+                .finish();
+            assert_eq!(out, format!("prefix|{}", tree.dump_compact()));
+        }
+        let mut empty = String::new();
+        ObjectWriter::new(&mut empty).finish();
+        assert_eq!(empty, "{}");
     }
 
     #[test]

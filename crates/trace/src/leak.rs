@@ -29,8 +29,9 @@
 //! byte-identical and the hot path keeps folding trace calls to nothing.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::json::Json;
+use crate::json::{Json, ObjectWriter};
 use crate::sink::{AccessDecision, PkruCheckKind, SquashCause, TraceEvent, TraceSink};
 
 /// Default maximum number of retained ledger entries (and squash
@@ -124,31 +125,25 @@ pub struct LedgerEntry {
 }
 
 impl LedgerEntry {
-    fn kind_name(&self) -> &'static str {
-        match self.kind {
-            PkruCheckKind::Load => "load",
-            PkruCheckKind::Store => "store",
-        }
-    }
-
-    /// One compact-JSON ledger line (the `--leak-ledger` file format).
-    #[must_use]
-    pub fn to_json(&self) -> Json {
+    /// Appends this entry's compact-JSON ledger line (the `--leak-ledger`
+    /// file format, without the newline) to `out`.
+    fn write_json(&self, out: &mut String) {
         let residue = self.residue.unwrap_or_default();
-        Json::object()
-            .with("record", "access")
-            .with("seq", self.seq)
-            .with("cycle", self.cycle)
-            .with("pc", format!("{:#x}", self.pc))
-            .with("addr", format!("{:#x}", self.addr))
-            .with("pkey", u64::from(self.pkey))
-            .with("pkru", format!("{:#010x}", self.pkru))
-            .with("kind", self.kind_name())
-            .with("decision", self.decision.name())
-            .with("fate", self.fate.map_or("open", Fate::name))
-            .with("fate_cycle", self.fate.map_or(0, Fate::cycle))
-            .with("residue_line", residue.line)
-            .with("residue_tlb", residue.tlb)
+        ObjectWriter::new(out)
+            .str("record", "access")
+            .u64("seq", self.seq)
+            .u64("cycle", self.cycle)
+            .hex("pc", self.pc)
+            .hex("addr", self.addr)
+            .u64("pkey", u64::from(self.pkey))
+            .hex32("pkru", self.pkru)
+            .str("kind", self.kind.name())
+            .str("decision", self.decision.name())
+            .str("fate", self.fate.map_or("open", Fate::name))
+            .u64("fate_cycle", self.fate.map_or(0, Fate::cycle))
+            .bool("residue_line", residue.line)
+            .bool("residue_tlb", residue.tlb)
+            .finish();
     }
 }
 
@@ -170,16 +165,17 @@ pub struct SquashRecord {
 }
 
 impl SquashRecord {
-    /// One compact-JSON ledger line.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::object()
-            .with("record", "squash")
-            .with("seq", self.trigger_seq)
-            .with("cycle", self.cycle)
-            .with("pc", format!("{:#x}", self.trigger_pc))
-            .with("cause", self.cause.name())
-            .with("depth", self.depth)
+    /// Appends this record's compact-JSON ledger line (without the
+    /// newline) to `out`.
+    fn write_json(&self, out: &mut String) {
+        ObjectWriter::new(out)
+            .str("record", "squash")
+            .u64("seq", self.trigger_seq)
+            .u64("cycle", self.cycle)
+            .hex("pc", self.trigger_pc)
+            .str("cause", self.cause.name())
+            .u64("depth", self.depth)
+            .finish();
     }
 }
 
@@ -280,6 +276,37 @@ impl WitnessChain {
     }
 }
 
+/// Hasher for the observer's integer keys (sequence numbers and PCs): one
+/// multiply by the 64-bit golden ratio, with the high half folded into
+/// the low half so both ends of the hash depend on every key bit. The
+/// keys come from the simulated core, so nobody is in a position to
+/// craft collisions that SipHash would have resisted.
+#[derive(Debug, Default)]
+struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let h = (self.0.rotate_left(8) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+}
+
+/// A hash map keyed by sequence number or PC.
+type IntMap<V> = HashMap<u64, V, BuildHasherDefault<IntHasher>>;
+
+/// End of a same-sequence-number chain in [`LeakObserver::older`].
+const NO_ENTRY: usize = usize::MAX;
+
 /// The speculative-access ledger sink.
 ///
 /// Attach it like any other sink (`Core::with_sink`, or one side of a
@@ -288,22 +315,28 @@ impl WitnessChain {
 /// [`counts`](LeakObserver::counts), or extract a
 /// [`witness_chain`](LeakObserver::witness_chain).
 ///
-/// All joins are per-sequence-number hash lookups, but no output ever
-/// iterates a hash map — entries and squash records are reported in
-/// arrival order, so ledgers are byte-deterministic for a deterministic
-/// core.
+/// All joins are per-sequence-number lookups in integer-keyed hash maps,
+/// and recording an event allocates nothing beyond amortized growth of
+/// the ledger and the maps. No output ever iterates a hash map — entries
+/// and squash records are reported in arrival order, so ledgers are
+/// byte-deterministic for a deterministic core.
 #[derive(Debug)]
 pub struct LeakObserver {
     entries: Vec<LedgerEntry>,
     squashes: Vec<SquashRecord>,
     capacity: usize,
     dropped: u64,
-    /// Indices of not-yet-resolved entries, by sequence number.
-    open: HashMap<u64, Vec<usize>>,
+    /// Newest not-yet-resolved entry index, by sequence number. An
+    /// instruction that replays records several entries; they are linked
+    /// newest to oldest through `older`.
+    open: IntMap<usize>,
+    /// For each entry, the next older entry of the same sequence number
+    /// ([`NO_ENTRY`] ends the chain).
+    older: Vec<usize>,
     /// PCs of in-flight instructions (for squash-trigger attribution).
-    in_flight: HashMap<u64, u64>,
+    in_flight: IntMap<u64>,
     /// Architectural retirement counts per PC (training evidence).
-    retired_pcs: HashMap<u64, u64>,
+    retired_pcs: IntMap<u64>,
 }
 
 impl Default for LeakObserver {
@@ -322,9 +355,10 @@ impl LeakObserver {
             squashes: Vec::new(),
             capacity: capacity.max(1),
             dropped: 0,
-            open: HashMap::new(),
-            in_flight: HashMap::new(),
-            retired_pcs: HashMap::new(),
+            open: IntMap::default(),
+            older: Vec::new(),
+            in_flight: IntMap::default(),
+            retired_pcs: IntMap::default(),
         }
     }
 
@@ -455,9 +489,12 @@ impl LeakObserver {
     #[must_use]
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        let records = self.entries.iter().map(LedgerEntry::to_json);
-        for record in records.chain(self.squashes.iter().map(SquashRecord::to_json)) {
-            record.write_compact(&mut out);
+        for e in &self.entries {
+            e.write_json(&mut out);
+            out.push('\n');
+        }
+        for s in &self.squashes {
+            s.write_json(&mut out);
             out.push('\n');
         }
         out
@@ -473,10 +510,10 @@ impl LeakObserver {
     }
 
     fn resolve(&mut self, seq: u64, fate: Fate) {
-        if let Some(indices) = self.open.remove(&seq) {
-            for i in indices {
-                self.entries[i].fate = Some(fate);
-            }
+        let mut i = self.open.remove(&seq).unwrap_or(NO_ENTRY);
+        while i != NO_ENTRY {
+            self.entries[i].fate = Some(fate);
+            i = self.older[i];
         }
     }
 }
@@ -497,7 +534,8 @@ impl TraceSink for LeakObserver {
                     self.dropped += 1;
                     return;
                 }
-                self.open.entry(seq).or_default().push(self.entries.len());
+                let newest = self.entries.len();
+                self.older.push(self.open.insert(seq, newest).unwrap_or(NO_ENTRY));
                 self.entries.push(LedgerEntry {
                     seq,
                     pc,
@@ -524,12 +562,12 @@ impl TraceSink for LeakObserver {
             // Residue probes arrive before the victim's Squash event, so
             // the entry is still open.
             TraceEvent::Residue { seq, addr, line, tlb, .. } => {
-                if let Some(indices) = self.open.get(&seq) {
-                    for &i in indices {
-                        if self.entries[i].addr == addr {
-                            self.entries[i].residue = Some(ResidueFlags { line, tlb });
-                        }
+                let mut i = self.open.get(&seq).copied().unwrap_or(NO_ENTRY);
+                while i != NO_ENTRY {
+                    if self.entries[i].addr == addr {
+                        self.entries[i].residue = Some(ResidueFlags { line, tlb });
                     }
+                    i = self.older[i];
                 }
             }
             TraceEvent::SquashBatch { seq, cycle, depth, cause, .. }
@@ -567,7 +605,7 @@ mod tests {
     }
 
     fn rename(seq: u64, pc: u64) -> TraceEvent {
-        TraceEvent::Rename { seq, pc, fetch_cycle: 0, cycle: 1, disasm: String::new() }
+        TraceEvent::Rename { seq, pc, fetch_cycle: 0, cycle: 1, instr: specmpk_isa::Instr::Nop }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Observability for the SpecMPK simulator.
 //!
-//! Independent pieces, all dependency-free:
+//! Independent pieces, whose only dependency is `specmpk-isa` (a rename
+//! event carries the renamed instruction):
 //!
 //! * [`sink`] — the [`TraceSink`] trait the simulator core is generic
 //!   over, the zero-overhead [`NullSink`] default, the ring-buffered
@@ -16,7 +17,8 @@
 //!   and TLB residue) and the witness-chain extractor behind the
 //!   `security_matrix` experiment.
 //! * [`json`] — a hand-rolled [`Json`] value/writer/parser used for
-//!   structured stats artifacts (the build runs offline, so no serde).
+//!   structured stats artifacts (the build runs offline, so no serde),
+//!   plus the tree-free [`ObjectWriter`] behind the JSONL records.
 //! * [`histogram`] — a log2-bucketed [`Histogram`] with interpolated
 //!   percentiles, backing the simulator's distribution metrics (WRPKRU
 //!   latency, `ROB_pkru` occupancy, squash depth, ...).
@@ -35,7 +37,7 @@ pub mod sink;
 
 pub use guest::{fmt_pc, GuestProfile, DEFAULT_PROFILE_TOP_N, GUEST_PROFILE_ENV, MAX_STALL_CAUSES};
 pub use histogram::Histogram;
-pub use json::{Json, JsonError};
+pub use json::{Json, JsonError, ObjectWriter};
 pub use leak::{
     Fate, LeakObserver, LedgerCounts, LedgerEntry, ResidueFlags, SquashRecord, WitnessChain,
     DEFAULT_LEDGER_CAPACITY, DEFAULT_WITNESS_WINDOW,
@@ -46,6 +48,6 @@ pub use obs::{
     DEFAULT_JOURNAL_CAPACITY, DEFAULT_PROGRESS_INTERVAL_MS, PROFILE_ENV, PROGRESS_ENV,
 };
 pub use sink::{
-    AccessDecision, EventLog, HeadStallKind, NullSink, PipeTracer, PkruCheckKind, SquashCause, Tee,
+    AccessDecision, HeadStallKind, NullSink, PipeTracer, PkruCheckKind, SquashCause, Tee,
     TraceEvent, TraceSink, DEFAULT_TRACE_CAPACITY,
 };

@@ -30,8 +30,8 @@ use std::collections::VecDeque;
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use crate::json::Json;
-use crate::sink::{AccessDecision, PkruCheckKind, TraceEvent, TraceSink};
+use crate::json::{Json, ObjectWriter};
+use crate::sink::{AccessDecision, TraceEvent, TraceSink};
 
 /// Environment variable enabling host profiling spans (any value except
 /// `0` or the empty string).
@@ -467,12 +467,21 @@ impl Journal {
         self.dropped
     }
 
-    /// Appends one record to the text buffer, evicting the oldest when
-    /// the ring is full. Evicted bytes are compacted away once they
-    /// outweigh the live ones, so each byte is moved at most once more.
-    fn push_json(&mut self, json: Json) {
+    /// Appends one record straight into the text buffer: the stable
+    /// leading keys every line shares (`event`, `cycle`, `seq`), then
+    /// whatever `fields` adds. Evicts the oldest record when the ring is
+    /// full; evicted bytes are compacted away once they outweigh the live
+    /// ones, so each byte is moved at most once more.
+    fn push_record(
+        &mut self,
+        event: &str,
+        cycle: u64,
+        seq: u64,
+        fields: impl FnOnce(ObjectWriter<'_>) -> ObjectWriter<'_>,
+    ) {
         let start = self.text.len();
-        json.write_compact(&mut self.text);
+        let base = ObjectWriter::new(&mut self.text).str("event", event);
+        fields(base.u64("cycle", cycle).u64("seq", seq)).finish();
         self.text.push('\n');
         self.lines.push_back(self.text.len() - start);
         if self.lines.len() > self.capacity {
@@ -504,11 +513,6 @@ impl Journal {
     pub fn write_to(&self, path: &std::path::Path) -> std::io::Result<()> {
         std::fs::write(path, self.jsonl())
     }
-
-    /// Base record with the stable leading keys every line shares.
-    fn record_base(event: &'static str, cycle: u64, seq: u64) -> Json {
-        Json::object().with("event", event).with("cycle", cycle).with("seq", seq)
-    }
 }
 
 impl TraceSink for Journal {
@@ -520,85 +524,63 @@ impl TraceSink for Journal {
     fn record(&mut self, event: TraceEvent) {
         match event {
             TraceEvent::SquashBatch { seq, cycle, depth, cause, rob } => {
-                self.push_json(
-                    Journal::record_base("squash", cycle, seq)
-                        .with("cause", cause.name())
-                        .with("depth", depth)
-                        .with("rob", rob),
-                );
+                self.push_record("squash", cycle, seq, |o| {
+                    o.str("cause", cause.name()).u64("depth", depth).u64("rob", rob)
+                });
             }
             TraceEvent::RobPkruAlloc { seq, cycle, tag, pc } => {
-                self.push_json(
-                    Journal::record_base("wrpkru_rename", cycle, seq)
-                        .with("tag", tag)
-                        .with("wrpkru_site", crate::guest::fmt_pc(pc)),
-                );
+                self.push_record("wrpkru_rename", cycle, seq, |o| {
+                    o.u64("tag", tag).hex("wrpkru_site", pc)
+                });
             }
             TraceEvent::RobPkruFree { seq, cycle, tag } => {
-                self.push_json(Journal::record_base("wrpkru_free", cycle, seq).with("tag", tag));
+                self.push_record("wrpkru_free", cycle, seq, |o| o.u64("tag", tag));
             }
             TraceEvent::PkruCheck { seq, cycle, kind, passed, pc } => {
                 // Passing checks happen for nearly every memory access;
                 // only the fails are notable.
                 if !passed {
-                    let kind = match kind {
-                        PkruCheckKind::Load => "load",
-                        PkruCheckKind::Store => "store",
-                    };
-                    self.push_json(
-                        Journal::record_base("pkru_check_fail", cycle, seq)
-                            .with("kind", kind)
-                            .with("wrpkru_site", crate::guest::fmt_pc(pc)),
-                    );
+                    self.push_record("pkru_check_fail", cycle, seq, |o| {
+                        o.str("kind", kind.name()).hex("wrpkru_site", pc)
+                    });
                 }
             }
             TraceEvent::HeadStall { seq, cycle, kind } => {
-                self.push_json(
-                    Journal::record_base("head_stall", cycle, seq).with("kind", kind.name()),
-                );
+                self.push_record("head_stall", cycle, seq, |o| o.str("kind", kind.name()));
             }
             TraceEvent::LoadReplay { seq, cycle } => {
-                self.push_json(Journal::record_base("load_replay", cycle, seq));
+                self.push_record("load_replay", cycle, seq, |o| o);
             }
             TraceEvent::ReplayBurst { seq, cycle, len } => {
-                self.push_json(Journal::record_base("replay_burst", cycle, seq).with("len", len));
+                self.push_record("replay_burst", cycle, seq, |o| o.u64("len", len));
             }
             TraceEvent::DeferredTlbUpdate { seq, cycle } => {
-                self.push_json(Journal::record_base("deferred_tlb_update", cycle, seq));
+                self.push_record("deferred_tlb_update", cycle, seq, |o| o);
             }
             TraceEvent::SpecAccess { seq, cycle, pc, addr, pkey, decision, kind, .. } => {
                 // Allowed accesses happen for nearly every load and store;
                 // only the deferred/faulted decisions are notable (the
                 // leak ledger keeps the full stream).
                 if decision != AccessDecision::Allowed {
-                    let kind = match kind {
-                        PkruCheckKind::Load => "load",
-                        PkruCheckKind::Store => "store",
-                    };
-                    self.push_json(
-                        Journal::record_base("spec_access", cycle, seq)
-                            .with("kind", kind)
-                            .with("decision", decision.name())
-                            .with("pc", crate::guest::fmt_pc(pc))
-                            .with("addr", format!("{addr:#x}"))
-                            .with("pkey", u64::from(pkey)),
-                    );
+                    self.push_record("spec_access", cycle, seq, |o| {
+                        o.str("kind", kind.name())
+                            .str("decision", decision.name())
+                            .hex("pc", pc)
+                            .hex("addr", addr)
+                            .u64("pkey", u64::from(pkey))
+                    });
                 }
             }
             TraceEvent::Residue { seq, cycle, addr, pkey, line, tlb } => {
-                self.push_json(
-                    Journal::record_base("residue", cycle, seq)
-                        .with("addr", format!("{addr:#x}"))
-                        .with("pkey", u64::from(pkey))
-                        .with("line", line)
-                        .with("tlb", tlb),
-                );
+                self.push_record("residue", cycle, seq, |o| {
+                    o.hex("addr", addr)
+                        .u64("pkey", u64::from(pkey))
+                        .bool("line", line)
+                        .bool("tlb", tlb)
+                });
             }
             TraceEvent::WrongPathStall { cycle, seq, pc } => {
-                self.push_json(
-                    Journal::record_base("wrong_path_stall", cycle, seq)
-                        .with("pc", format!("{pc:#x}")),
-                );
+                self.push_record("wrong_path_stall", cycle, seq, |o| o.hex("pc", pc));
             }
             // Per-instruction lifecycle events are too dense to journal.
             TraceEvent::Rename { .. }
@@ -613,7 +595,7 @@ impl TraceSink for Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{HeadStallKind, SquashCause};
+    use crate::sink::{HeadStallKind, PkruCheckKind, SquashCause};
 
     #[test]
     fn span_ids_follow_registration_order() {

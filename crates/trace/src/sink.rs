@@ -7,8 +7,15 @@
 //! [`PipeTracer`] records per-instruction stage timestamps and renders them
 //! in the gem5 O3PipeView text format, which the Konata pipeline viewer
 //! loads directly.
+//!
+//! [`TraceEvent`] is `Copy`: it carries the renamed [`Instr`] itself
+//! rather than its disassembly, so recording an event never allocates and
+//! only the sink that prints text (the [`PipeTracer`]) formats it.
 
 use std::collections::VecDeque;
+use std::fmt::Write as _;
+
+use specmpk_isa::Instr;
 
 /// Which in-flight PKRU check an event refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,6 +24,18 @@ pub enum PkruCheckKind {
     Load,
     /// A store's (deferred) permission check at retirement.
     Store,
+}
+
+impl PkruCheckKind {
+    /// Stable lowercase name used in trace notes, journal and ledger
+    /// records.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            PkruCheckKind::Load => "load",
+            PkruCheckKind::Store => "store",
+        }
+    }
 }
 
 /// The policy's verdict on one speculative (pre-retire) memory access.
@@ -109,7 +128,7 @@ impl HeadStallKind {
 /// Cycle numbers are absolute simulation cycles; `seq` is the rename-time
 /// sequence number the pipeline assigns (fetch groups carry no sequence
 /// number in this core, so the rename event also reports the fetch cycle).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// An instruction entered the back end (and was dispatched the same
     /// cycle in this core).
@@ -122,8 +141,8 @@ pub enum TraceEvent {
         fetch_cycle: u64,
         /// Cycle of rename/dispatch.
         cycle: u64,
-        /// Human-readable disassembly (only built when a sink is enabled).
-        disasm: String,
+        /// The renamed instruction (sinks that print it disassemble it).
+        instr: Instr,
     },
     /// The instruction was selected for execution.
     Issue {
@@ -328,7 +347,7 @@ impl TraceEvent {
 /// event formatting behind it) folds away entirely under inlining.
 pub trait TraceSink {
     /// Whether this sink wants events at all. Hot paths check this before
-    /// building event payloads (e.g. disassembly strings).
+    /// building event payloads.
     #[inline]
     fn enabled(&self) -> bool {
         false
@@ -353,12 +372,13 @@ impl TraceSink for NullSink {}
 struct InFlight {
     seq: u64,
     pc: u64,
-    disasm: String,
+    instr: Instr,
     fetch: u64,
     rename: u64,
     issue: Option<u64>,
     complete: Option<u64>,
-    notes: Vec<String>,
+    /// `//specmpk:` note lines, each ending in a newline.
+    notes: String,
 }
 
 /// Ring-buffered per-instruction recorder emitting gem5 O3PipeView text.
@@ -428,31 +448,36 @@ impl PipeTracer {
             return;
         };
         let e = self.in_flight.swap_remove(pos);
-        let mut block = String::new();
         // gem5 O3PipeView block: one fetch line carrying pc/seq/disasm,
         // then one timestamp line per stage. This core renames and
         // dispatches in the same cycle and has no distinct decode stage,
         // so decode/rename/dispatch share the rename timestamp.
-        block.push_str(&format!(
-            "O3PipeView:fetch:{}:0x{:016x}:0:{}:{}\n",
-            e.fetch, e.pc, e.seq, e.disasm
-        ));
-        block.push_str(&format!("O3PipeView:decode:{}\n", e.rename));
-        block.push_str(&format!("O3PipeView:rename:{}\n", e.rename));
-        block.push_str(&format!("O3PipeView:dispatch:{}\n", e.rename));
         // Instructions that never issue (nop/halt, or squashed before
         // select) report their rename cycle so viewers draw a zero-width
-        // stage instead of a bogus span back to cycle 0.
-        let issue = e.issue.unwrap_or(e.rename);
-        let complete = e.complete.or(e.issue).unwrap_or(e.rename);
-        block.push_str(&format!("O3PipeView:issue:{issue}\n"));
-        block.push_str(&format!("O3PipeView:complete:{complete}\n"));
-        // Squashed instructions get retire timestamp 0, as gem5 emits them.
-        block.push_str(&format!("O3PipeView:retire:{}:store:0\n", retire_cycle.unwrap_or(0)));
-        for note in &e.notes {
-            block.push_str(note);
-            block.push('\n');
-        }
+        // stage instead of a bogus span back to cycle 0. Squashed
+        // instructions get retire timestamp 0, as gem5 emits them.
+        let rename = e.rename;
+        let issue = e.issue.unwrap_or(rename);
+        let complete = e.complete.or(e.issue).unwrap_or(rename);
+        // Seven lines come to about 230 bytes at typical cycle counts.
+        let mut block = String::with_capacity(256 + e.notes.len());
+        write!(
+            block,
+            "O3PipeView:fetch:{}:0x{:016x}:0:{}:{}\n\
+             O3PipeView:decode:{rename}\n\
+             O3PipeView:rename:{rename}\n\
+             O3PipeView:dispatch:{rename}\n\
+             O3PipeView:issue:{issue}\n\
+             O3PipeView:complete:{complete}\n\
+             O3PipeView:retire:{}:store:0\n",
+            e.fetch,
+            e.pc,
+            e.seq,
+            e.instr,
+            retire_cycle.unwrap_or(0)
+        )
+        .expect("writing to a String cannot fail");
+        block.push_str(&e.notes);
         if self.blocks.len() == self.capacity {
             self.blocks.pop_front();
             self.dropped += 1;
@@ -460,9 +485,11 @@ impl PipeTracer {
         self.blocks.push_back(block);
     }
 
-    fn note(&mut self, seq: u64, note: String) {
+    /// Appends one note line to `seq`'s block, if it is in flight.
+    fn note(&mut self, seq: u64, note: std::fmt::Arguments<'_>) {
         if let Some(e) = self.entry_mut(seq) {
-            e.notes.push(note);
+            e.notes.write_fmt(note).expect("writing to a String cannot fail");
+            e.notes.push('\n');
         }
     }
 
@@ -494,16 +521,16 @@ impl TraceSink for PipeTracer {
 
     fn record(&mut self, event: TraceEvent) {
         match event {
-            TraceEvent::Rename { seq, pc, fetch_cycle, cycle, disasm } => {
+            TraceEvent::Rename { seq, pc, fetch_cycle, cycle, instr } => {
                 self.in_flight.push(InFlight {
                     seq,
                     pc,
-                    disasm,
+                    instr,
                     fetch: fetch_cycle,
                     rename: cycle,
                     issue: None,
                     complete: None,
-                    notes: Vec::new(),
+                    notes: String::new(),
                 });
             }
             TraceEvent::Issue { seq, cycle } => {
@@ -518,52 +545,46 @@ impl TraceSink for PipeTracer {
             }
             TraceEvent::Retire { seq, cycle } => self.finish(seq, Some(cycle)),
             TraceEvent::Squash { seq, cycle } => {
-                self.note(seq, format!("//specmpk:squash:{cycle}:{seq}"));
+                self.note(seq, format_args!("//specmpk:squash:{cycle}:{seq}"));
                 self.finish(seq, None);
             }
             TraceEvent::RobPkruAlloc { seq, cycle, tag, .. } => {
-                self.note(seq, format!("//specmpk:robpkru_alloc:{cycle}:{seq}:tag{tag}"));
+                self.note(seq, format_args!("//specmpk:robpkru_alloc:{cycle}:{seq}:tag{tag}"));
             }
             TraceEvent::RobPkruFree { seq, cycle, tag } => {
-                self.note(seq, format!("//specmpk:robpkru_free:{cycle}:{seq}:tag{tag}"));
+                self.note(seq, format_args!("//specmpk:robpkru_free:{cycle}:{seq}:tag{tag}"));
             }
             TraceEvent::PkruCheck { seq, cycle, kind, passed, .. } => {
-                let kind = match kind {
-                    PkruCheckKind::Load => "load",
-                    PkruCheckKind::Store => "store",
-                };
+                let kind = kind.name();
                 let outcome = if passed { "pass" } else { "fail" };
-                self.note(seq, format!("//specmpk:pkru_check:{cycle}:{seq}:{kind}:{outcome}"));
+                self.note(seq, format_args!("//specmpk:pkru_check:{cycle}:{seq}:{kind}:{outcome}"));
             }
             TraceEvent::LoadReplay { seq, cycle } => {
-                self.note(seq, format!("//specmpk:load_replay:{cycle}:{seq}"));
+                self.note(seq, format_args!("//specmpk:load_replay:{cycle}:{seq}"));
             }
             TraceEvent::DeferredTlbUpdate { seq, cycle } => {
-                self.note(seq, format!("//specmpk:deferred_tlb_update:{cycle}:{seq}"));
+                self.note(seq, format_args!("//specmpk:deferred_tlb_update:{cycle}:{seq}"));
             }
             TraceEvent::SquashBatch { seq, cycle, depth, cause, rob } => {
                 self.note(
                     seq,
-                    format!(
+                    format_args!(
                         "//specmpk:squash_batch:{cycle}:{seq}:{}:depth{depth}:rob{rob}",
                         cause.name()
                     ),
                 );
             }
             TraceEvent::ReplayBurst { seq, cycle, len } => {
-                self.note(seq, format!("//specmpk:replay_burst:{cycle}:{seq}:len{len}"));
+                self.note(seq, format_args!("//specmpk:replay_burst:{cycle}:{seq}:len{len}"));
             }
             TraceEvent::HeadStall { seq, cycle, kind } => {
-                self.note(seq, format!("//specmpk:head_stall:{cycle}:{seq}:{}", kind.name()));
+                self.note(seq, format_args!("//specmpk:head_stall:{cycle}:{seq}:{}", kind.name()));
             }
             TraceEvent::SpecAccess { seq, cycle, addr, pkey, kind, decision, .. } => {
-                let kind = match kind {
-                    PkruCheckKind::Load => "load",
-                    PkruCheckKind::Store => "store",
-                };
+                let kind = kind.name();
                 self.note(
                     seq,
-                    format!(
+                    format_args!(
                         "//specmpk:spec_access:{cycle}:{seq}:{kind}:{addr:#x}:pkey{pkey}:{}",
                         decision.name()
                     ),
@@ -572,7 +593,7 @@ impl TraceSink for PipeTracer {
             TraceEvent::Residue { seq, cycle, addr, pkey, line, tlb } => {
                 self.note(
                     seq,
-                    format!(
+                    format_args!(
                         "//specmpk:residue:{cycle}:{seq}:{addr:#x}:pkey{pkey}:line{}:tlb{}",
                         u8::from(line),
                         u8::from(tlb)
@@ -587,8 +608,8 @@ impl TraceSink for PipeTracer {
 }
 
 /// Fans one event stream out to two sinks (e.g. a [`PipeTracer`] and a
-/// journal in the same run). Events are cloned only when both sides are
-/// enabled.
+/// journal in the same run). Events are `Copy`, so each enabled side gets
+/// its own copy.
 #[derive(Debug, Default)]
 pub struct Tee<A, B> {
     /// The first receiving sink.
@@ -611,56 +632,39 @@ impl<A: TraceSink, B: TraceSink> TraceSink for Tee<A, B> {
     }
 
     fn record(&mut self, event: TraceEvent) {
-        match (self.a.enabled(), self.b.enabled()) {
-            (true, true) => {
-                self.a.record(event.clone());
-                self.b.record(event);
-            }
-            (true, false) => self.a.record(event),
-            (false, true) => self.b.record(event),
-            (false, false) => {}
+        if self.a.enabled() {
+            self.a.record(event);
         }
-    }
-}
-
-/// A sink that retains raw [`TraceEvent`]s in a bounded ring; useful in
-/// tests that assert on the event stream rather than the rendered text.
-#[derive(Debug, Default)]
-pub struct EventLog {
-    events: VecDeque<TraceEvent>,
-    capacity: usize,
-}
-
-impl EventLog {
-    /// An event log retaining at most `capacity` events (0 = unbounded).
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        EventLog { events: VecDeque::new(), capacity }
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-}
-
-impl TraceSink for EventLog {
-    #[inline]
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, event: TraceEvent) {
-        if self.capacity > 0 && self.events.len() == self.capacity {
-            self.events.pop_front();
+        if self.b.enabled() {
+            self.b.record(event);
         }
-        self.events.push_back(event);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use specmpk_isa::Reg;
+
     use super::*;
+
+    /// Retains every event it is given.
+    #[derive(Default)]
+    struct Events(Vec<TraceEvent>);
+
+    impl TraceSink for Events {
+        fn enabled(&self) -> bool {
+            true
+        }
+
+        fn record(&mut self, event: TraceEvent) {
+            self.0.push(event);
+        }
+    }
+
+    /// `li t0, <seq>`: each test instruction disassembles to its own text.
+    fn li(seq: u64) -> Instr {
+        Instr::Li { rd: Reg::T0, imm: seq as i64 }
+    }
 
     fn drive(t: &mut PipeTracer, seq: u64, base: u64) {
         t.record(TraceEvent::Rename {
@@ -668,7 +672,7 @@ mod tests {
             pc: 0x1000 + 4 * seq,
             fetch_cycle: base,
             cycle: base + 2,
-            disasm: format!("op{seq}"),
+            instr: li(seq),
         });
         t.record(TraceEvent::Issue { seq, cycle: base + 3 });
         t.record(TraceEvent::Complete { seq, cycle: base + 4 });
@@ -680,7 +684,7 @@ mod tests {
         drive(&mut t, 1, 10);
         t.record(TraceEvent::Retire { seq: 1, cycle: 15 });
         let out = t.render();
-        assert!(out.starts_with("O3PipeView:fetch:10:0x0000000000001004:0:1:op1\n"));
+        assert!(out.starts_with("O3PipeView:fetch:10:0x0000000000001004:0:1:li t0, 1\n"));
         assert!(out.contains("O3PipeView:issue:13\n"));
         assert!(out.contains("O3PipeView:complete:14\n"));
         assert!(out.ends_with("O3PipeView:retire:15:store:0\n"));
@@ -706,8 +710,8 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!(t.dropped_blocks(), 3);
         let out = t.render();
-        assert!(!out.contains(":op2\n"));
-        assert!(out.contains(":op3\n") && out.contains(":op4\n"));
+        assert!(!out.contains(":li t0, 2\n"));
+        assert!(out.contains(":li t0, 3\n") && out.contains(":li t0, 4\n"));
     }
 
     #[test]
@@ -785,19 +789,20 @@ mod tests {
 
     #[test]
     fn tee_fans_out_to_both_enabled_sinks() {
-        let mut tee = Tee::new(EventLog::with_capacity(0), EventLog::with_capacity(0));
+        let mut tee = Tee::new(Events::default(), Events::default());
         assert!(tee.enabled());
-        tee.record(TraceEvent::LoadReplay { seq: 1, cycle: 2 });
-        assert_eq!(tee.a.events().count(), 1);
-        assert_eq!(tee.b.events().count(), 1);
+        let event = TraceEvent::LoadReplay { seq: 1, cycle: 2 };
+        tee.record(event);
+        assert_eq!(tee.a.0, [event]);
+        assert_eq!(tee.b.0, [event]);
     }
 
     #[test]
     fn tee_with_null_side_only_feeds_the_live_sink() {
-        let mut tee = Tee::new(NullSink, EventLog::with_capacity(0));
+        let mut tee = Tee::new(NullSink, Events::default());
         assert!(tee.enabled());
         tee.record(TraceEvent::LoadReplay { seq: 1, cycle: 2 });
-        assert_eq!(tee.b.events().count(), 1);
+        assert_eq!(tee.b.0.len(), 1);
         let null_tee = Tee::new(NullSink, NullSink);
         assert!(!null_tee.enabled());
     }

@@ -1,12 +1,12 @@
 //! Property-based tests for the log2-bucketed histogram and the JSON
-//! writer/parser.
+//! writer/parser, including the tree-free object writer.
 
 // Gated so the workspace still builds/tests with --no-default-features.
 #![cfg(feature = "proptest")]
 
 use proptest::prelude::*;
 use specmpk_trace::histogram::{bucket_bounds, bucket_index, NUM_BUCKETS};
-use specmpk_trace::{Histogram, Json};
+use specmpk_trace::{Histogram, Json, ObjectWriter};
 
 /// Characters covering every writer and parser path: plain ASCII runs,
 /// the two escaped printables, the named and `\u00XX` control escapes,
@@ -64,6 +64,51 @@ impl Strategy for JsonTree {
                 (0..rng.below(5)).map(|_| (random_string(rng), child.generate(rng))).collect(),
             ),
         }
+    }
+}
+
+/// Integers around the edges of exact `f64` representation: 0, 2^53 and
+/// its neighbours, and the top of the `u64` range, plus arbitrary ones.
+fn random_u64(rng: &mut TestRng) -> u64 {
+    const EDGES: [u64; 6] = [0, 1, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, u64::MAX];
+    match rng.below(3) {
+        0 => EDGES[rng.below(EDGES.len() as u64) as usize],
+        1 => rng.below(1 << 20),
+        _ => rng.next_u64(),
+    }
+}
+
+/// One field as the [`ObjectWriter`] writes it.
+#[derive(Debug, Clone)]
+enum Field {
+    Str(String),
+    U64(u64),
+    Bool(bool),
+    Hex(u64),
+    Hex32(u32),
+}
+
+/// Random flat records: unique keys, every field kind.
+struct Record;
+
+impl Strategy for Record {
+    type Value = Vec<(String, Field)>;
+
+    fn generate(&self, rng: &mut TestRng) -> Self::Value {
+        (0..rng.below(8))
+            .map(|i| {
+                // The index prefix keeps keys unique whatever the suffix.
+                let key = format!("{i}:{}", random_string(rng));
+                let field = match rng.below(5) {
+                    0 => Field::Str(random_string(rng)),
+                    1 => Field::U64(random_u64(rng)),
+                    2 => Field::Bool(rng.below(2) == 1),
+                    3 => Field::Hex(random_u64(rng)),
+                    _ => Field::Hex32(random_u64(rng) as u32),
+                };
+                (key, field)
+            })
+            .collect()
     }
 }
 
@@ -167,5 +212,46 @@ proptest! {
         tree.write_compact(&mut out);
         let compact = tree.dump_compact();
         prop_assert_eq!(out.strip_prefix(prefix), Some(compact.as_str()));
+    }
+
+    /// The object writer emits exactly what the tree writer emits for the
+    /// same fields, and that text is canonical: it parses and dumps back
+    /// to itself.
+    #[test]
+    fn object_writer_matches_the_tree_and_is_canonical(
+        fields in Record,
+        prefix in prop::sample::select(vec!["", "x", "{\"a\":1}\n"]),
+    ) {
+        let mut tree = Json::object();
+        let mut out = prefix.to_string();
+        let mut obj = ObjectWriter::new(&mut out);
+        for (key, field) in &fields {
+            obj = match field {
+                Field::Str(v) => {
+                    tree.set(key, v.as_str());
+                    obj.str(key, v)
+                }
+                Field::U64(v) => {
+                    tree.set(key, *v);
+                    obj.u64(key, *v)
+                }
+                Field::Bool(v) => {
+                    tree.set(key, *v);
+                    obj.bool(key, *v)
+                }
+                Field::Hex(v) => {
+                    tree.set(key, Json::hex(*v));
+                    obj.hex(key, *v)
+                }
+                Field::Hex32(v) => {
+                    tree.set(key, format!("{v:#010x}"));
+                    obj.hex32(key, *v)
+                }
+            };
+        }
+        obj.finish();
+        let line = out.strip_prefix(prefix).expect("prefix untouched");
+        prop_assert_eq!(line, tree.dump_compact());
+        prop_assert_eq!(Json::parse(line).expect("writer output parses").dump_compact(), line);
     }
 }

@@ -16,7 +16,10 @@
 #               heartbeat lines, the host_profile stats section, and the
 #               journal summary (specmpk-report journal); plus a
 #               --profile-guest run rendered by `specmpk-report profile`
-#               (hot-PC rows + WRPKRU site rows must be non-empty)
+#               (hot-PC rows + WRPKRU site rows must be non-empty); plus
+#               two identical --trace/--leak-ledger runs whose Konata and
+#               ledger files must match (cmp), with disassembly on every
+#               fetch line and a non-empty ledger
 #   security    security_matrix bin (every attack × every policy with the
 #               speculative-access ledger on), gated by `specmpk-report
 #               security --check` against baselines/security/verdicts.json
@@ -103,7 +106,8 @@ run_report() {
 # the micro-event journal summarized by `specmpk-report journal`. The
 # env vars are scoped to the one sim invocation — the gated experiments
 # stage above runs env-clean, and obs_smoke/ is a subdirectory the
-# report gate never scans.
+# report gate never scans. `stage` calls this from an `if`, where
+# `set -e` does not apply, so every check returns on failure itself.
 run_obs_smoke() {
     local out=experiments_output/obs_smoke
     rm -rf "${out}"
@@ -113,11 +117,11 @@ run_obs_smoke() {
         --workload omnetpp --policy specmpk --instructions 150000 \
         --journal "${out}/journal.jsonl" --stats-json "${out}/stats.json" \
         > /dev/null 2> "${out}/progress.log"
-    grep -q '^\[progress\] .* done:' "${out}/progress.log"
-    grep -q '"host_profile"' "${out}/stats.json"
+    grep -q '^\[progress\] .* done:' "${out}/progress.log" || return 1
+    grep -q '"host_profile"' "${out}/stats.json" || return 1
     cargo run -q --release -p specmpk-report -- \
         journal "${out}/journal.jsonl" > "${out}/journal_summary.txt"
-    grep -q '^top squash cause:' "${out}/journal_summary.txt"
+    grep -q '^top squash cause:' "${out}/journal_summary.txt" || return 1
     # Guest attribution: a profiled run must yield a non-empty hot-PC
     # table and WRPKRU site rows, and the journal cross-reference must
     # join on the shared site PCs.
@@ -126,15 +130,32 @@ run_obs_smoke() {
         --profile-guest --stats-json "${out}/guest_stats.json" > /dev/null
     cargo run -q --release -p specmpk-report -- \
         profile "${out}/guest_stats.json" > "${out}/guest_profile.txt"
-    grep -q '^  0x' "${out}/guest_profile.txt"
-    grep -q '^wrpkru sites:' "${out}/guest_profile.txt"
-    grep -q '^specmpk;' "${out}/guest_profile.txt"
+    grep -q '^  0x' "${out}/guest_profile.txt" || return 1
+    grep -q '^wrpkru sites:' "${out}/guest_profile.txt" || return 1
+    grep -q '^specmpk;' "${out}/guest_profile.txt" || return 1
     cargo run -q --release -p specmpk-report -- \
         journal "${out}/journal.jsonl" --sites "${out}/guest_stats.json" \
-        | grep -q '^site cross-reference'
+        | grep -q '^site cross-reference' || return 1
+    # Konata trace and leak ledger through the CLI: the same run twice
+    # writes the same bytes, every fetch line ends in the instruction's
+    # disassembly, and the ledger has entries.
+    local run fetches named
+    for run in 1 2; do
+        cargo run -q --release --bin specmpk-sim -- \
+            --workload omnetpp --policy specmpk --instructions 150000 \
+            --trace "${out}/pipe${run}.kanata" \
+            --leak-ledger "${out}/ledger${run}.jsonl" > /dev/null || return 1
+    done
+    cmp "${out}/pipe1.kanata" "${out}/pipe2.kanata" || return 1
+    cmp "${out}/ledger1.jsonl" "${out}/ledger2.jsonl" || return 1
+    fetches=$(grep -c '^O3PipeView:fetch:' "${out}/pipe1.kanata")
+    named=$(grep -Ec '^O3PipeView:fetch:[0-9]+:0x[0-9a-f]{16}:0:[0-9]+:[a-z]' "${out}/pipe1.kanata")
+    [[ "${fetches}" -gt 0 && "${named}" -eq "${fetches}" ]] || return 1
+    [[ "$(wc -l < "${out}/ledger1.jsonl")" -gt 0 ]] || return 1
     echo "    obs-smoke: $(grep -c '^\[progress\]' "${out}/progress.log") heartbeat lines, \
 $(wc -l < "${out}/journal.jsonl") journal events, \
-$(grep -c '^  0x' "${out}/guest_profile.txt") profile rows"
+$(grep -c '^  0x' "${out}/guest_profile.txt") profile rows, \
+${fetches} Konata blocks, $(wc -l < "${out}/ledger1.jsonl") ledger lines"
 }
 
 stage build cargo build --release --workspace
@@ -188,7 +209,7 @@ run_checkpoint() {
     cargo run -q --release --bin specmpk-sim -- \
         --workload omnetpp --policy specmpk --fast-forward 50000 \
         --checkpoint "${out}/warm2.ckpt" > /dev/null
-    cmp "${out}/warm.ckpt" "${out}/warm2.ckpt"
+    cmp "${out}/warm.ckpt" "${out}/warm2.ckpt" || return 1
     cargo run -q --release --bin specmpk-sim -- \
         --workload omnetpp --policy specmpk --fast-forward 50000 \
         --instructions 60000 --stats-json "${out}/inprocess.json" > /dev/null
