@@ -89,8 +89,8 @@ pub(crate) struct ActiveList {
     pub(crate) rename_cycle: Vec<u64>,
     /// Number of source registers still unready (0, 1 or 2). Set at
     /// rename and decremented by the producer's writeback via the
-    /// wake-up table, so the issue scan tests a single byte per queued
-    /// entry instead of re-probing the register file every cycle.
+    /// wake-up table; the entry joins the ready issue queue when it
+    /// reaches 0, so select never probes the register file.
     pub(crate) waits: Vec<u8>,
 
     // ---------------------------------------------------- cold sidecar

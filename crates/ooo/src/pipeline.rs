@@ -397,13 +397,22 @@ impl<S: TraceSink> Core<S> {
         }
     }
 
-    /// Advances one cycle: the stage orchestrator.
+    /// Advances one cycle. Debug builds then audit the pipeline queues
+    /// (issue, load and store queue, wake-up scoreboard) against the
+    /// Active List and the register file.
+    pub fn step(&mut self) {
+        self.run_cycle();
+        #[cfg(debug_assertions)]
+        self.state.audit();
+    }
+
+    /// One cycle: the stage orchestrator.
     ///
     /// When host profiling is on, one clock stamp *laps* through the
     /// stage calls (a single `Instant::now` per stage boundary); when it
     /// is off, every lap is one predictable branch and the cycle loop is
     /// byte-for-byte the seed behavior.
-    pub fn step(&mut self) {
+    fn run_cycle(&mut self) {
         // Next interval-sample boundary, for the idle-skip wake bound
         // (copied out because `st` exclusively borrows `self.state`).
         let sample_at =

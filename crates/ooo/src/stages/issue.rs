@@ -1,5 +1,5 @@
-//! Issue: oldest-first select over the issue queue and issue-time
-//! execution, including the PKRU load/store checks (§V-C2).
+//! Issue: oldest-first select over the register-ready issue queue and
+//! issue-time execution, including the PKRU load/store checks (§V-C2).
 
 use specmpk_isa::{Instr, InstrClass, MemWidth, Operand};
 use specmpk_mpk::AccessKind;
@@ -55,12 +55,19 @@ pub(crate) fn issue<S: TraceSink>(st: &mut PipelineState, cx: &mut StageCtx<'_, 
         st.fused_pending.clear();
     }
 
-    // IQ is naturally in seq (age) order: oldest-first select. Walk it
-    // once, compacting unissued entries down in place (single pass, no
-    // O(n) removals).
+    // The IQ holds only register-ready entries, in seq (age) order:
+    // oldest-first select. Entries still waiting on a source register are
+    // not in it — they could not issue, and select has no side effect on
+    // them. Walk it once, compacting unissued entries down in place
+    // (single pass, no O(n) removals).
     let len = st.iq.len();
     let mut keep = 0usize;
     let mut i = 0usize;
+    // Seq of the oldest store whose address is still unknown (`Seq::MAX`
+    // when every address is known): looked up at the first ready load and
+    // dropped when a store issues, so loads do not each rescan the store
+    // queue.
+    let mut unknown_store: Option<Seq> = None;
     while i < len {
         if issued_total >= st.config.width {
             break;
@@ -70,6 +77,10 @@ pub(crate) fn issue<S: TraceSink>(st: &mut PipelineState, cx: &mut StageCtx<'_, 
         let slot = e.slot as usize;
         debug_assert!(st.al.contains(slot, e.seq), "IQ entries are pruned on squash");
         debug_assert_eq!(st.al.state[slot], AlState::Queued);
+        debug_assert!(
+            st.al.waits[slot] == 0 && e.srcs.as_slice().iter().all(|&p| st.rf.is_ready(p)),
+            "only register-ready entries are in the IQ"
+        );
         let issued = 'select: {
             // Functional-unit availability.
             let unit = match e.class {
@@ -82,17 +93,6 @@ pub(crate) fn issue<S: TraceSink>(st: &mut PipelineState, cx: &mut StageCtx<'_, 
             if *unit == 0 {
                 break 'select false;
             }
-            // Register sources ready? The `waits` scoreboard lane counts
-            // unready sources and is decremented by producers' writebacks,
-            // so the common not-yet-ready case is a one-byte test.
-            debug_assert_eq!(
-                st.al.waits[slot] == 0,
-                e.srcs.as_slice().iter().all(|&p| st.rf.is_ready(p)),
-                "waits lane must track register-file readiness"
-            );
-            if st.al.waits[slot] != 0 {
-                break 'select false;
-            }
             // PKRU source ready (orders memory ops and WRPKRUs behind all
             // prior WRPKRUs — SpecMPK design principles 1 & 2)?
             if let Some(src) = e.pkru_source {
@@ -101,11 +101,16 @@ pub(crate) fn issue<S: TraceSink>(st: &mut PipelineState, cx: &mut StageCtx<'_, 
                 }
             }
             // Loads additionally wait until all older store addresses are
-            // known (conservative memory-dependence handling).
-            if e.kind == Some(MemKind::Load)
-                && st.sq.iter().any(|s| s.seq < e.seq && s.addr.is_none())
-            {
-                break 'select false;
+            // known (conservative memory-dependence handling). The store
+            // queue is in seq order, so its first unknown address is the
+            // oldest.
+            if e.kind == Some(MemKind::Load) {
+                let oldest = *unknown_store.get_or_insert_with(|| {
+                    st.sq.iter().find(|s| s.addr.is_none()).map_or(Seq::MAX, |s| s.seq)
+                });
+                if oldest < e.seq {
+                    break 'select false;
+                }
             }
             // `clflush` is ordered with respect to older stores to the same
             // line (x86 SDM): it waits until any such store has drained
@@ -128,6 +133,11 @@ pub(crate) fn issue<S: TraceSink>(st: &mut PipelineState, cx: &mut StageCtx<'_, 
             }
             *unit -= 1;
             issued_total += 1;
+            st.iq_len -= 1;
+            if e.kind == Some(MemKind::Store) {
+                // Its address is known now.
+                unknown_store = None;
+            }
             if cx.sink.enabled() {
                 cx.sink.record(TraceEvent::Issue { seq: e.seq, cycle: st.cycle });
             }
@@ -144,8 +154,7 @@ pub(crate) fn issue<S: TraceSink>(st: &mut PipelineState, cx: &mut StageCtx<'_, 
         }
     }
     // Entries past a width-bound break are kept verbatim: one memmove
-    // instead of an element-wise loop — on dependency-bound cycles the
-    // tail is most of a full issue queue.
+    // instead of an element-wise loop.
     if keep != i {
         st.iq.copy_within(i..len, keep);
     }

@@ -150,7 +150,7 @@ pub(crate) enum AlState {
 /// two logical sources ([`Instr::source_regs`]), so a heap `Vec` here
 /// would cost an allocation per renamed instruction inside the cycle loop
 /// for nothing.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct SrcRegs {
     pub(crate) regs: [PhysReg; 2],
     pub(crate) len: u8,
@@ -163,11 +163,12 @@ impl SrcRegs {
     }
 }
 
-/// A waiting instruction in the issue queue: everything the oldest-first
-/// select needs, copied inline at rename so the scan never touches the
-/// Active-List lanes of entries that do not issue this cycle. The `slot`
-/// makes the post-select lane access O(1) (no seq search).
-#[derive(Debug, Clone, Copy)]
+/// A register-ready instruction in the issue queue: everything the
+/// oldest-first select needs, copied inline from the Active-List lanes
+/// when the entry becomes ready, so the scan never touches the lanes of
+/// entries that do not issue this cycle. The `slot` makes the
+/// post-select lane access O(1) (no seq search).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct IqEntry {
     pub(crate) seq: Seq,
     pub(crate) slot: u32,
@@ -175,6 +176,20 @@ pub(crate) struct IqEntry {
     pub(crate) kind: Option<MemKind>,
     pub(crate) srcs: SrcRegs,
     pub(crate) pkru_source: Option<PkruSource>,
+}
+
+impl IqEntry {
+    /// The select entry of the live Active-List entry at `slot`.
+    pub(crate) fn of(al: &ActiveList, slot: usize) -> Self {
+        IqEntry {
+            seq: al.seq[slot],
+            slot: slot as u32,
+            class: al.instr[slot].class(),
+            kind: al.mem_kind[slot],
+            srcs: al.srcs[slot],
+            pkru_source: al.pkru_source[slot],
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -229,8 +244,16 @@ pub(crate) struct PipelineState {
     pub(crate) last_fetch_line: Option<u64>,
     pub(crate) frontq: VecDeque<Fetched>,
     pub(crate) al: ActiveList,
+    /// The *register-ready* `Queued` entries, in seq (age) order: the
+    /// only ones select can pick. Rename appends entries that are ready
+    /// when they rename; [`PipelineState::write_phys`] inserts the rest
+    /// when their last source is written.
     pub(crate) iq: Vec<IqEntry>,
-    pub(crate) lq: Vec<Seq>,
+    /// Issue-queue occupancy: every `Queued` entry, ready or not. The
+    /// IQ-full check and the fusion gate read this, not `iq.len()`.
+    pub(crate) iq_len: usize,
+    /// Load-queue occupancy (in-flight loads and `clflush`es).
+    pub(crate) lq_len: usize,
     pub(crate) sq: Vec<SqEntry>,
     pub(crate) events: Vec<Event>,
     /// Scratch buffer for [`writeback`], kept to avoid a per-cycle
@@ -299,7 +322,8 @@ impl PipelineState {
             frontq: VecDeque::new(),
             al: ActiveList::new(config.active_list_size),
             iq: Vec::new(),
-            lq: Vec::new(),
+            iq_len: 0,
+            lq_len: 0,
             sq: Vec::new(),
             events: Vec::new(),
             wb_scratch: Vec::new(),
@@ -322,10 +346,11 @@ impl PipelineState {
     }
 
     /// Writes physical register `phys` and wakes every issue-queue entry
-    /// waiting on it (decrementing their [`ActiveList::waits`] counts).
-    /// Every destination-register write in the pipeline must go through
-    /// here — a raw `rf.write` would leave consumers' wait counts stale
-    /// and strand them in the issue queue forever.
+    /// waiting on it (decrementing their [`ActiveList::waits`] counts); an
+    /// entry whose count reaches 0 joins the ready [`iq`](Self::iq) at its
+    /// age position. Every destination-register write in the pipeline
+    /// must go through here — a raw `rf.write` would leave consumers' wait
+    /// counts stale and strand them outside the ready queue forever.
     pub(crate) fn write_phys(&mut self, phys: PhysReg, value: u64) {
         self.rf.write(phys, value);
         let mut waiters = std::mem::take(&mut self.wakeup[usize::from(phys)]);
@@ -337,10 +362,98 @@ impl PipelineState {
             if self.al.contains(slot, seq) && self.al.state[slot] == AlState::Queued {
                 debug_assert!(self.al.waits[slot] > 0, "woken entry was not waiting");
                 self.al.waits[slot] -= 1;
+                if self.al.waits[slot] == 0 {
+                    let at = self.iq.partition_point(|e| e.seq < seq);
+                    self.iq.insert(at, IqEntry::of(&self.al, slot));
+                }
             }
         }
         waiters.clear();
         self.wakeup[usize::from(phys)] = waiters; // keep the allocation
+    }
+
+    /// Per-cycle queue audit, run by [`Core::step`](crate::Core::step)
+    /// after every cycle in debug builds. The ready queue, the occupancy
+    /// counts, the wake-up scoreboard and the store queue are all derived
+    /// state: each must agree with the Active List and the register file,
+    /// because a drift would not crash — it would silently change timing.
+    ///
+    /// It runs after every cycle of every debug test, so it walks plain
+    /// slices with index loops: unoptimized code pays a call for every
+    /// `Vec` index, iterator step and derived `==`.
+    #[cfg(debug_assertions)]
+    pub(crate) fn audit(&self) {
+        let cycle = self.cycle;
+        let al = &self.al;
+        let (seqs, state, srcs, waits, kinds) =
+            (&al.seq[..], &al.state[..], &al.srcs[..], &al.waits[..], &al.mem_kind[..]);
+        let (mut queued, mut ready, mut loads, mut stores) = (0usize, 0usize, 0usize, 0usize);
+        let mut i = 0;
+        while i < al.len() {
+            let slot = al.slot_of(i);
+            i += 1;
+            match kinds[slot] {
+                Some(MemKind::Load | MemKind::Flush) => loads += 1,
+                Some(MemKind::Store) => stores += 1,
+                None => {}
+            }
+            if !matches!(state[slot], AlState::Queued) {
+                continue;
+            }
+            queued += 1;
+            let (seq, regs) = (seqs[slot], srcs[slot]);
+            let mut unready = 0u8;
+            let mut k = 0;
+            while k < usize::from(regs.len) {
+                let p = regs.regs[k];
+                k += 1;
+                if !self.rf.is_ready(p) {
+                    unready += 1;
+                    assert!(
+                        self.wakeup[usize::from(p)].contains(&(slot as u32, seq)),
+                        "cycle {cycle}: seq {seq} waits on p{p} without a wake-up subscription"
+                    );
+                }
+            }
+            assert!(
+                waits[slot] == unready,
+                "cycle {cycle}: seq {seq}'s waits lane disagrees with the register file"
+            );
+            ready += usize::from(unready == 0);
+        }
+        let iq = &self.iq[..];
+        let mut k = 0;
+        while k < iq.len() {
+            let e = iq[k];
+            let slot = e.slot as usize;
+            assert!(
+                k == 0 || iq[k - 1].seq < e.seq,
+                "cycle {cycle}: the ready IQ is not strictly seq-ascending"
+            );
+            assert!(
+                al.contains(slot, e.seq)
+                    && matches!(state[slot], AlState::Queued)
+                    && waits[slot] == 0,
+                "cycle {cycle}: ready IQ entry seq {} is not a ready queued instruction",
+                e.seq
+            );
+            assert!(e == IqEntry::of(al, slot), "cycle {cycle}: stale IQ entry seq {}", e.seq);
+            k += 1;
+        }
+        let sq = &self.sq[..];
+        let mut k = 1;
+        while k < sq.len() {
+            assert!(sq[k - 1].seq < sq[k].seq, "cycle {cycle}: the store queue is out of order");
+            k += 1;
+        }
+        assert!(iq.len() == ready, "cycle {cycle}: {} ready IQ entries, {ready} ready", iq.len());
+        assert!(
+            self.iq_len == queued,
+            "cycle {cycle}: IQ occupancy {}, {queued} queued",
+            self.iq_len
+        );
+        assert!(self.lq_len == loads, "cycle {cycle}: LQ occupancy {}, {loads} loads", self.lq_len);
+        assert!(sq.len() == stores, "cycle {cycle}: SQ occupancy {}, {stores} stores", sq.len());
     }
 
     /// Speculative fault determination, delegated to the policy (SpecMPK

@@ -11,7 +11,7 @@
 use specmpk_isa::{AluOp, Instr, InstrClass, Operand};
 use specmpk_trace::{TraceEvent, TraceSink};
 
-use super::{AlState, MemKind, PipelineState, SqEntry, SrcRegs, StageCtx};
+use super::{AlState, IqEntry, MemKind, PipelineState, SqEntry, SrcRegs, StageCtx};
 use crate::stats::RenameStall;
 
 pub(crate) fn rename<S: TraceSink>(st: &mut PipelineState, cx: &mut StageCtx<'_, S>) {
@@ -24,12 +24,14 @@ pub(crate) fn rename<S: TraceSink>(st: &mut PipelineState, cx: &mut StageCtx<'_,
     // Fusion is legal only for an uninterrupted fused prefix of this
     // cycle's rename group over an empty IQ: then the fused instructions
     // are provably the oldest ready work next cycle and consume the issue
-    // budget first, exactly as the IQ walk would have ordered them. A
-    // trace sink disables the path so per-instruction Issue events stay
+    // budget first, exactly as the IQ walk would have ordered them. The
+    // gate is occupancy (`iq_len`), not the ready queue: an older entry
+    // that wakes next cycle must still be selected before a fused group.
+    // A trace sink disables the path so per-instruction Issue events stay
     // complete.
     let mut fuse_ok = st.config.fuse_rename_issue
         && !cx.sink.enabled()
-        && st.iq.is_empty()
+        && st.iq_len == 0
         && st.fused_pending.is_empty();
     let fuse_cap = st.config.width.min(st.config.alu_units);
 
@@ -73,7 +75,7 @@ pub(crate) fn rename<S: TraceSink>(st: &mut PipelineState, cx: &mut StageCtx<'_,
             break;
         }
         let needs_iq = !matches!(instr, Instr::Nop | Instr::Halt);
-        if needs_iq && st.iq.len() >= st.config.issue_queue_size {
+        if needs_iq && st.iq_len >= st.config.issue_queue_size {
             block = Some(RenameStall::IssueQueueFull);
             break;
         }
@@ -84,7 +86,7 @@ pub(crate) fn rename<S: TraceSink>(st: &mut PipelineState, cx: &mut StageCtx<'_,
             _ => None,
         };
         match mem_kind {
-            Some(MemKind::Load | MemKind::Flush) if st.lq.len() >= st.config.load_queue_size => {
+            Some(MemKind::Load | MemKind::Flush) if st.lq_len >= st.config.load_queue_size => {
                 block = Some(RenameStall::LoadQueueFull);
                 break;
             }
@@ -176,20 +178,12 @@ pub(crate) fn rename<S: TraceSink>(st: &mut PipelineState, cx: &mut StageCtx<'_,
             st.stats.fused_rename_issue_instrs += 1;
             (AlState::Issued, Some(value))
         } else if needs_iq {
-            st.iq.push(super::IqEntry {
-                seq,
-                slot: slot as u32,
-                class,
-                kind: mem_kind,
-                srcs,
-                pkru_source,
-            });
             (AlState::Queued, None)
         } else {
             (AlState::Completed, None)
         };
         match mem_kind {
-            Some(MemKind::Load | MemKind::Flush) => st.lq.push(seq),
+            Some(MemKind::Load | MemKind::Flush) => st.lq_len += 1,
             Some(MemKind::Store) => st.sq.push(SqEntry {
                 seq,
                 addr: None,
@@ -237,13 +231,20 @@ pub(crate) fn rename<S: TraceSink>(st: &mut PipelineState, cx: &mut StageCtx<'_,
         st.al.rename_cycle[slot] = st.cycle;
         st.al.waits[slot] = waits;
         st.al.cold[slot].branch = branch;
-        // Queued consumers with unready sources subscribe to their
-        // producers' writebacks (no rf write happens during rename, so
-        // the unready set is unchanged since `waits` was counted).
-        if state == AlState::Queued && waits > 0 {
-            for &p in srcs.as_slice() {
-                if !st.rf.is_ready(p) {
-                    st.wakeup[usize::from(p)].push((slot as u32, seq));
+        // A queued entry that is ready now joins the ready IQ (at the
+        // back: it is the youngest); one with unready sources subscribes
+        // to its producers' writebacks instead (no rf write happens
+        // during rename, so the unready set is unchanged since `waits`
+        // was counted).
+        if state == AlState::Queued {
+            st.iq_len += 1;
+            if waits == 0 {
+                st.iq.push(IqEntry::of(&st.al, slot));
+            } else {
+                for &p in srcs.as_slice() {
+                    if !st.rf.is_ready(p) {
+                        st.wakeup[usize::from(p)].push((slot as u32, seq));
+                    }
                 }
             }
         }

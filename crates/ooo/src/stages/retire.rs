@@ -105,7 +105,7 @@ pub(crate) fn retire<S: TraceSink>(st: &mut PipelineState, cx: &mut StageCtx<'_,
             st.rf.commit(reg, new);
         }
         if matches!(st.al.mem_kind[slot], Some(MemKind::Load | MemKind::Flush)) {
-            st.lq.retain(|&s| s != seq);
+            st.lq_len -= 1;
         }
         if cx.sink.enabled() {
             cx.sink.record(TraceEvent::Retire { seq, cycle: st.cycle });

@@ -2,7 +2,7 @@
 
 use specmpk_trace::{SquashCause, TraceEvent, TraceSink};
 
-use super::{span, PipelineState, Seq, StageCtx};
+use super::{span, AlState, MemKind, PipelineState, Seq, StageCtx};
 
 /// Probes what a squashed victim's speculative access left behind and
 /// emits a [`TraceEvent::Residue`] when its cache line or TLB entry
@@ -79,6 +79,12 @@ pub(crate) fn squash_after<S: TraceSink>(
             note_residue(st, cx, victim);
             cx.sink.record(TraceEvent::Squash { seq: st.al.seq[victim], cycle: st.cycle });
         }
+        if st.al.state[victim] == AlState::Queued {
+            st.iq_len -= 1;
+        }
+        if matches!(st.al.mem_kind[victim], Some(MemKind::Load | MemKind::Flush)) {
+            st.lq_len -= 1;
+        }
         if st.al.pkru_tag[victim].is_some() {
             st.stats.guest.wrpkru_squash(
                 st.al.seq[victim],
@@ -89,9 +95,9 @@ pub(crate) fn squash_after<S: TraceSink>(
         st.stats.squashed += 1;
     }
     let cut = seq;
-    st.iq.retain(|e| e.seq <= cut);
-    st.lq.retain(|&s| s <= cut);
-    st.sq.retain(|s| s.seq <= cut);
+    // The ready IQ and the store queue are in seq order: cut their tails.
+    st.iq.truncate(st.iq.partition_point(|e| e.seq <= cut));
+    st.sq.truncate(st.sq.partition_point(|s| s.seq <= cut));
     st.events.retain(|e| e.seq <= cut);
     st.fused_pending.retain(|&s| s <= cut);
     st.frontq.clear();
@@ -170,7 +176,8 @@ pub(crate) fn full_flush<S: TraceSink>(st: &mut PipelineState, cx: &mut StageCtx
     }
     st.al.clear();
     st.iq.clear();
-    st.lq.clear();
+    st.iq_len = 0;
+    st.lq_len = 0;
     st.sq.clear();
     st.events.clear();
     st.fused_pending.clear();
