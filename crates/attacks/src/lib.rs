@@ -523,7 +523,7 @@ pub fn store_forward_overflow(poison: u8) -> AttackProgram {
 /// Runs an attack under `policy` and performs the flush+reload measurement
 /// from outside the program (the receiver's view).
 #[must_use]
-pub fn run_attack(attack: &AttackProgram, policy: impl Into<PolicyRef>) -> AttackOutcome {
+pub fn run_attack(attack: &AttackProgram, policy: PolicyRef) -> AttackOutcome {
     let config = SimConfig::with_policy(policy);
     let mut core = Core::new(config, attack.program());
     let result = core.run();
@@ -548,7 +548,7 @@ pub fn run_attack(attack: &AttackProgram, policy: impl Into<PolicyRef>) -> Attac
 #[must_use]
 pub fn run_attack_observed(
     attack: &AttackProgram,
-    policy: impl Into<PolicyRef>,
+    policy: PolicyRef,
 ) -> (AttackOutcome, LeakObserver) {
     let config = SimConfig::with_policy(policy);
     let mut core = Core::with_sink(config, attack.program(), LeakObserver::default());

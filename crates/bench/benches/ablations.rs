@@ -5,14 +5,14 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use specmpk_bench::{dense_workload, simulate, simulate_n, sparse_workload};
-use specmpk_core::WrpkruPolicy;
+use specmpk_core::PolicyRef;
 use specmpk_ooo::RenameStall;
 
 /// Where do the serialized baseline's cycles go? (Fig. 3's right axis is
 /// one slice of this.)
 fn serialized_stall_anatomy(c: &mut Criterion) {
     let program = dense_workload().build_protected();
-    let stats = simulate(&program, WrpkruPolicy::Serialized);
+    let stats = simulate(&program, PolicyRef::SERIALIZED);
     eprintln!("[ablation] serialized rename-stall cycles by cause:");
     for cause in RenameStall::all() {
         let cycles = stats.rename_stall_cycles(cause);
@@ -24,7 +24,7 @@ fn serialized_stall_anatomy(c: &mut Criterion) {
         }
     }
     c.bench_function("ablation_serialized_anatomy", |b| {
-        b.iter(|| simulate(&program, WrpkruPolicy::Serialized).cycles)
+        b.iter(|| simulate(&program, PolicyRef::SERIALIZED).cycles)
     });
 }
 
@@ -34,7 +34,7 @@ fn rob_pkru_full_stalls(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_rob_full_stalls");
     for size in [1usize, 2, 4, 8] {
         let mut config =
-            specmpk_ooo::SimConfig::with_policy(WrpkruPolicy::SpecMpk).with_rob_pkru_size(size);
+            specmpk_ooo::SimConfig::with_policy(PolicyRef::SPEC_MPK).with_rob_pkru_size(size);
         config.max_instructions = specmpk_bench::BENCH_INSTR;
         let stats = {
             let mut core = specmpk_ooo::Core::new(config, &program);
@@ -58,8 +58,8 @@ fn rob_pkru_full_stalls(c: &mut Criterion) {
 /// be within noise of NonSecure when WRPKRU is rare (the crossover floor).
 fn sparse_workload_parity(c: &mut Criterion) {
     let program = sparse_workload().build_protected();
-    let spec = simulate_n(&program, WrpkruPolicy::SpecMpk, 50_000);
-    let non = simulate_n(&program, WrpkruPolicy::NonSecureSpec, 50_000);
+    let spec = simulate_n(&program, PolicyRef::SPEC_MPK, 50_000);
+    let non = simulate_n(&program, PolicyRef::NONSECURE_SPEC, 50_000);
     eprintln!(
         "[ablation] sparse workload: SpecMPK IPC {:.3} vs NonSecure {:.3} ({:+.2}%), \
          {} load replays, {} fwd-blocked, {} TLB-miss stalls",
@@ -71,7 +71,7 @@ fn sparse_workload_parity(c: &mut Criterion) {
         spec.tlb_miss_stalls
     );
     c.bench_function("ablation_sparse_parity", |b| {
-        b.iter(|| simulate_n(&program, WrpkruPolicy::SpecMpk, 50_000).cycles)
+        b.iter(|| simulate_n(&program, PolicyRef::SPEC_MPK, 50_000).cycles)
     });
 }
 
@@ -79,7 +79,7 @@ fn sparse_workload_parity(c: &mut Criterion) {
 /// no-forward prologue stores replay at the head (§V-C2's conservatism).
 fn store_forward_blocking_cost(c: &mut Criterion) {
     let program = dense_workload().build_protected();
-    let stats = simulate(&program, WrpkruPolicy::SpecMpk);
+    let stats = simulate(&program, PolicyRef::SPEC_MPK);
     eprintln!(
         "[ablation] dense SS workload under SpecMPK: {} forwards, {} fwd-blocked loads, \
          {} load-check replays, {} store-check failures",
@@ -89,7 +89,7 @@ fn store_forward_blocking_cost(c: &mut Criterion) {
         stats.pkru.store_check_failures
     );
     c.bench_function("ablation_forward_blocking", |b| {
-        b.iter(|| simulate(&program, WrpkruPolicy::SpecMpk).forward_blocked_loads)
+        b.iter(|| simulate(&program, PolicyRef::SPEC_MPK).forward_blocked_loads)
     });
 }
 

@@ -2,7 +2,7 @@
 //! engine, renaming, and the branch predictor.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use specmpk_core::{PkruEngine, SpecMpkConfig, WrpkruPolicy};
+use specmpk_core::{PkruEngine, PolicyRef, SpecMpkConfig};
 use specmpk_mem::{Cache, CacheConfig, CacheHierarchy, MemConfig, MemorySystem, Tlb, TlbConfig};
 use specmpk_mpk::{AccessKind, Pkey, Pkru};
 use specmpk_ooo::{BranchPredictor, PredictorConfig};
@@ -65,7 +65,7 @@ fn tlb(c: &mut Criterion) {
 fn pkru_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("pkru_engine");
     group.bench_function("wrpkru_lifecycle", |b| {
-        let mut engine = PkruEngine::new(WrpkruPolicy::SpecMpk, SpecMpkConfig::default());
+        let mut engine = PkruEngine::new(PolicyRef::SPEC_MPK, SpecMpkConfig::default());
         let value = Pkru::ALL_ACCESS.with_access_disabled(Pkey::new(1).unwrap(), true);
         b.iter(|| {
             let tag = engine.rename_wrpkru().expect("capacity");
@@ -74,14 +74,14 @@ fn pkru_engine(c: &mut Criterion) {
         })
     });
     group.bench_function("load_check", |b| {
-        let mut engine = PkruEngine::new(WrpkruPolicy::SpecMpk, SpecMpkConfig::default());
+        let mut engine = PkruEngine::new(PolicyRef::SPEC_MPK, SpecMpkConfig::default());
         let tag = engine.rename_wrpkru().unwrap();
         engine.execute_wrpkru(tag, Pkru::LINUX_DEFAULT);
         let key = Pkey::new(3).unwrap();
         b.iter(|| engine.load_check(black_box(key)))
     });
     group.bench_function("checkpoint_restore", |b| {
-        let mut engine = PkruEngine::new(WrpkruPolicy::SpecMpk, SpecMpkConfig::default());
+        let mut engine = PkruEngine::new(PolicyRef::SPEC_MPK, SpecMpkConfig::default());
         b.iter(|| {
             let cp = engine.checkpoint();
             let tag = engine.rename_wrpkru().expect("capacity");

@@ -4,21 +4,21 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use specmpk_bench::{dense_workload, simulate, BENCH_INSTR};
-use specmpk_core::{hardware_cost, SpecMpkConfig, WrpkruPolicy};
+use specmpk_core::{hardware_cost, registry, PolicyRef, SpecMpkConfig};
 use specmpk_ooo::{Core, SimConfig};
 
 /// Fig. 3: speculative-WRPKRU speedup and rename-stall share.
 fn fig3(c: &mut Criterion) {
     let program = dense_workload().build_protected();
-    let ser = simulate(&program, WrpkruPolicy::Serialized);
-    let spec = simulate(&program, WrpkruPolicy::NonSecureSpec);
+    let ser = simulate(&program, PolicyRef::SERIALIZED);
+    let spec = simulate(&program, PolicyRef::NONSECURE_SPEC);
     eprintln!(
         "[fig3/reduced] speculative speedup {:.1}%, rename stall {:.1}% (paper: up to 48.4%)",
         (spec.ipc() / ser.ipc() - 1.0) * 100.0,
         ser.wrpkru_stall_fraction() * 100.0
     );
     c.bench_function("fig3_serialized_run", |b| {
-        b.iter(|| simulate(&program, WrpkruPolicy::Serialized).cycles)
+        b.iter(|| simulate(&program, PolicyRef::SERIALIZED).cycles)
     });
 }
 
@@ -31,7 +31,7 @@ fn fig4(c: &mut Criterion) {
     let nop = w.build_nop_wrpkru();
     let full = w.build_protected();
     let run = |p: &specmpk_isa::Program| {
-        let mut core = Core::new(SimConfig::with_policy(WrpkruPolicy::Serialized), p);
+        let mut core = Core::new(SimConfig::with_policy(PolicyRef::SERIALIZED), p);
         core.run().stats.cycles as f64
     };
     let (b0, b1, b2) = (run(&base), run(&nop), run(&full));
@@ -46,16 +46,16 @@ fn fig4(c: &mut Criterion) {
 /// Fig. 9: normalized IPC of the three microarchitectures.
 fn fig9(c: &mut Criterion) {
     let program = dense_workload().build_protected();
-    let ser = simulate(&program, WrpkruPolicy::Serialized).ipc();
-    let spec = simulate(&program, WrpkruPolicy::SpecMpk).ipc();
-    let non = simulate(&program, WrpkruPolicy::NonSecureSpec).ipc();
+    let ser = simulate(&program, PolicyRef::SERIALIZED).ipc();
+    let spec = simulate(&program, PolicyRef::SPEC_MPK).ipc();
+    let non = simulate(&program, PolicyRef::NONSECURE_SPEC).ipc();
     eprintln!(
         "[fig9/reduced] normalized IPC: SpecMPK {:.3}, NonSecure {:.3} (paper avg: 1.12)",
         spec / ser,
         non / ser
     );
     let mut group = c.benchmark_group("fig9");
-    for policy in WrpkruPolicy::all() {
+    for policy in registry::all() {
         group.bench_function(policy.to_string(), |b| b.iter(|| simulate(&program, policy).cycles));
     }
     group.finish();
@@ -64,14 +64,14 @@ fn fig9(c: &mut Criterion) {
 /// Fig. 10: WRPKRU density measurement.
 fn fig10(c: &mut Criterion) {
     let program = dense_workload().build_protected();
-    let stats = simulate(&program, WrpkruPolicy::NonSecureSpec);
+    let stats = simulate(&program, PolicyRef::NONSECURE_SPEC);
     eprintln!(
         "[fig10/reduced] {} → {:.1} WRPKRU/kinstr",
         dense_workload().name(),
         stats.wrpkru_per_kilo_instr()
     );
     c.bench_function("fig10_density_measurement", |b| {
-        b.iter(|| simulate(&program, WrpkruPolicy::NonSecureSpec).wrpkru_per_kilo_instr())
+        b.iter(|| simulate(&program, PolicyRef::NONSECURE_SPEC).wrpkru_per_kilo_instr())
     });
 }
 
@@ -80,7 +80,7 @@ fn fig11(c: &mut Criterion) {
     let program = dense_workload().build_protected();
     let mut group = c.benchmark_group("fig11_rob_pkru_size");
     for size in [2usize, 4, 8] {
-        let mut config = SimConfig::with_policy(WrpkruPolicy::SpecMpk).with_rob_pkru_size(size);
+        let mut config = SimConfig::with_policy(PolicyRef::SPEC_MPK).with_rob_pkru_size(size);
         config.max_instructions = BENCH_INSTR;
         let ipc = {
             let mut core = Core::new(config, &program);
@@ -100,8 +100,8 @@ fn fig11(c: &mut Criterion) {
 /// Fig. 13: the flush+reload attack experiment.
 fn fig13(c: &mut Criterion) {
     let attack = specmpk_attacks::spectre_v1(101, 72);
-    let leak = specmpk_attacks::run_attack(&attack, WrpkruPolicy::NonSecureSpec);
-    let safe = specmpk_attacks::run_attack(&attack, WrpkruPolicy::SpecMpk);
+    let leak = specmpk_attacks::run_attack(&attack, PolicyRef::NONSECURE_SPEC);
+    let safe = specmpk_attacks::run_attack(&attack, PolicyRef::SPEC_MPK);
     eprintln!(
         "[fig13] NonSecure hot={:?}, SpecMPK hot={:?} (paper: {{72,101}} vs {{72}})",
         leak.hot_indices(),
@@ -110,10 +110,10 @@ fn fig13(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig13_attack");
     group.sample_size(10);
     group.bench_function("nonsecure", |b| {
-        b.iter(|| specmpk_attacks::run_attack(&attack, WrpkruPolicy::NonSecureSpec).hot_indices())
+        b.iter(|| specmpk_attacks::run_attack(&attack, PolicyRef::NONSECURE_SPEC).hot_indices())
     });
     group.bench_function("specmpk", |b| {
-        b.iter(|| specmpk_attacks::run_attack(&attack, WrpkruPolicy::SpecMpk).hot_indices())
+        b.iter(|| specmpk_attacks::run_attack(&attack, PolicyRef::SPEC_MPK).hot_indices())
     });
     group.finish();
 }

@@ -11,7 +11,7 @@
 //! (merged into `benches/baselines/main.tsv`, which is committed).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use specmpk_core::WrpkruPolicy;
+use specmpk_core::PolicyRef;
 use specmpk_ooo::{Core, SimConfig};
 use specmpk_workloads::{bench_profiles, standard_suite, Workload};
 
@@ -20,8 +20,8 @@ use specmpk_workloads::{bench_profiles, standard_suite, Workload};
 /// minor share of the iteration.
 const BUDGET: u64 = 20_000;
 
-const POLICIES: [WrpkruPolicy; 3] =
-    [WrpkruPolicy::Serialized, WrpkruPolicy::SpecMpk, WrpkruPolicy::NonSecureSpec];
+const POLICIES: [PolicyRef; 3] =
+    [PolicyRef::SERIALIZED, PolicyRef::SPEC_MPK, PolicyRef::NONSECURE_SPEC];
 
 fn sim_kips(c: &mut Criterion) {
     let workload = standard_suite()

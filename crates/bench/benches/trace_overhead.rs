@@ -38,12 +38,12 @@ use specmpk_bench::{
     dense_workload, simulate_guest_profiled, simulate_n, simulate_profiled, simulate_with_sink,
     BENCH_INSTR,
 };
-use specmpk_core::WrpkruPolicy;
+use specmpk_core::PolicyRef;
 use specmpk_trace::{Journal, LeakObserver, NullSink, PipeTracer};
 
 fn trace_overhead(c: &mut Criterion) {
     let program = dense_workload().build_protected();
-    let policy = WrpkruPolicy::SpecMpk;
+    let policy = PolicyRef::SPEC_MPK;
     let mut group = c.benchmark_group("trace_overhead");
     group.bench_function("seed_untraced", |b| {
         b.iter(|| simulate_n(&program, policy, BENCH_INSTR).cycles)

@@ -16,7 +16,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use specmpk_core::WrpkruPolicy;
+use specmpk_core::PolicyRef;
 use specmpk_isa::Program;
 use specmpk_ooo::{Core, SimConfig, SimStats};
 use specmpk_trace::TraceSink;
@@ -27,13 +27,13 @@ pub const BENCH_INSTR: u64 = 20_000;
 
 /// Simulates `program` under `policy` for [`BENCH_INSTR`] instructions.
 #[must_use]
-pub fn simulate(program: &Program, policy: WrpkruPolicy) -> SimStats {
+pub fn simulate(program: &Program, policy: PolicyRef) -> SimStats {
     simulate_n(program, policy, BENCH_INSTR)
 }
 
 /// Simulates `program` under `policy` for `n` instructions.
 #[must_use]
-pub fn simulate_n(program: &Program, policy: WrpkruPolicy, n: u64) -> SimStats {
+pub fn simulate_n(program: &Program, policy: PolicyRef, n: u64) -> SimStats {
     let mut config = SimConfig::with_policy(policy);
     config.max_instructions = n;
     let mut core = Core::new(config, program);
@@ -47,7 +47,7 @@ pub fn simulate_n(program: &Program, policy: WrpkruPolicy, n: u64) -> SimStats {
 #[must_use]
 pub fn simulate_with_sink<S: TraceSink>(
     program: &Program,
-    policy: WrpkruPolicy,
+    policy: PolicyRef,
     n: u64,
     sink: S,
 ) -> SimStats {
@@ -63,7 +63,7 @@ pub fn simulate_with_sink<S: TraceSink>(
 /// Used by the `trace_overhead` bench to price the enabled profiler: two
 /// `Instant::now` reads per pipeline stage per cycle.
 #[must_use]
-pub fn simulate_profiled(program: &Program, policy: WrpkruPolicy, n: u64) -> SimStats {
+pub fn simulate_profiled(program: &Program, policy: PolicyRef, n: u64) -> SimStats {
     let mut config = SimConfig::with_policy(policy);
     config.max_instructions = n;
     let mut core = Core::new(config, program);
@@ -78,7 +78,7 @@ pub fn simulate_profiled(program: &Program, policy: WrpkruPolicy, n: u64) -> Sim
 /// profiler: a hash-table charge per retirement, rename-stall slot, and
 /// squash victim.
 #[must_use]
-pub fn simulate_guest_profiled(program: &Program, policy: WrpkruPolicy, n: u64) -> SimStats {
+pub fn simulate_guest_profiled(program: &Program, policy: PolicyRef, n: u64) -> SimStats {
     let mut config = SimConfig::with_policy(policy);
     config.max_instructions = n;
     let mut core = Core::new(config, program);

@@ -115,8 +115,7 @@ impl PkruEngine {
     /// Creates an engine for `policy`, sizing `ROB_pkru` to the policy's
     /// [`rob_pkru_capacity`](crate::PermissionPolicy::rob_pkru_capacity).
     #[must_use]
-    pub fn new(policy: impl Into<PolicyRef>, config: SpecMpkConfig) -> Self {
-        let policy = policy.into();
+    pub fn new(policy: PolicyRef, config: SpecMpkConfig) -> Self {
         let capacity = policy.rob_pkru_capacity(&config);
         let mut engine = PkruEngine {
             policy,
@@ -480,14 +479,13 @@ impl PkruEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::WrpkruPolicy;
 
     fn k(i: u8) -> Pkey {
         Pkey::new(i).unwrap()
     }
 
     fn specmpk() -> PkruEngine {
-        PkruEngine::new(WrpkruPolicy::SpecMpk, SpecMpkConfig::default())
+        PkruEngine::new(PolicyRef::SPEC_MPK, SpecMpkConfig::default())
     }
 
     #[test]
@@ -591,14 +589,14 @@ mod tests {
 
     #[test]
     fn serialized_policy_gates_rename_on_oldest() {
-        let e = PkruEngine::new(WrpkruPolicy::Serialized, SpecMpkConfig::default());
+        let e = PkruEngine::new(PolicyRef::SERIALIZED, SpecMpkConfig::default());
         assert!(e.can_rename_wrpkru(0));
         assert!(!e.can_rename_wrpkru(5));
     }
 
     #[test]
     fn serialized_blocks_second_wrpkru_until_retire() {
-        let mut e = PkruEngine::new(WrpkruPolicy::Serialized, SpecMpkConfig::default());
+        let mut e = PkruEngine::new(PolicyRef::SERIALIZED, SpecMpkConfig::default());
         let t = e.rename_wrpkru().unwrap();
         assert!(!e.can_rename_wrpkru(0), "one in flight already");
         e.execute_wrpkru(t, Pkru::ALL_ACCESS);
@@ -608,7 +606,7 @@ mod tests {
 
     #[test]
     fn nonsecure_checks_always_pass() {
-        let mut e = PkruEngine::new(WrpkruPolicy::NonSecureSpec, SpecMpkConfig::default());
+        let mut e = PkruEngine::new(PolicyRef::NONSECURE_SPEC, SpecMpkConfig::default());
         e.set_committed(Pkru::LINUX_DEFAULT);
         let t = e.rename_wrpkru().unwrap();
         e.execute_wrpkru(t, Pkru::LINUX_DEFAULT);
@@ -619,7 +617,7 @@ mod tests {
 
     #[test]
     fn nonsecure_speculative_fault_uses_renamed_value() {
-        let mut e = PkruEngine::new(WrpkruPolicy::NonSecureSpec, SpecMpkConfig::default());
+        let mut e = PkruEngine::new(PolicyRef::NONSECURE_SPEC, SpecMpkConfig::default());
         e.set_committed(Pkru::ALL_ACCESS.with_access_disabled(k(1), true));
         let t = e.rename_wrpkru().unwrap();
         e.execute_wrpkru(t, Pkru::ALL_ACCESS); // transient enable
@@ -641,7 +639,7 @@ mod tests {
     #[test]
     fn rob_full_blocks_rename_at_configured_size() {
         let mut e = PkruEngine::new(
-            WrpkruPolicy::SpecMpk,
+            PolicyRef::SPEC_MPK,
             SpecMpkConfig { rob_pkru_size: 2, store_queue_size: 72 },
         );
         assert!(e.rename_wrpkru().is_some());

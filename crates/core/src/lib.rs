@@ -4,7 +4,8 @@
 //! This crate implements the paper's contribution as a self-contained,
 //! pipeline-agnostic state machine — the [`PkruEngine`] — that the
 //! out-of-order core (`specmpk-ooo`) drives at rename, execute, retire and
-//! squash. Three policies are provided ([`WrpkruPolicy`]):
+//! squash. Three policies are provided, each a [`PermissionPolicy`] named
+//! by a [`PolicyRef`] constant and listed in the [`registry`]:
 //!
 //! * **`Serialized`** — the baseline: `WRPKRU` is a full serialization
 //!   barrier (renames only when it is the oldest in-flight instruction, and
@@ -28,10 +29,10 @@
 //! # Examples
 //!
 //! ```
-//! use specmpk_core::{PkruEngine, SpecMpkConfig, WrpkruPolicy};
+//! use specmpk_core::{PkruEngine, PolicyRef, SpecMpkConfig};
 //! use specmpk_mpk::{Pkey, Pkru};
 //!
-//! let mut engine = PkruEngine::new(WrpkruPolicy::SpecMpk, SpecMpkConfig::default());
+//! let mut engine = PkruEngine::new(PolicyRef::SPEC_MPK, SpecMpkConfig::default());
 //! let key = Pkey::new(1)?;
 //!
 //! // Rename and execute a WRPKRU that disables access to pkey 1.
@@ -61,38 +62,6 @@ pub use policy::{
     registry, NonSecureSpec, PermissionPolicy, PolicyRef, PolicyView, Serialized, SpecMpk,
 };
 pub use rob_pkru::{PkruTag, RobPkru};
-
-use std::fmt;
-
-/// Which WRPKRU microarchitecture to simulate (§VII evaluates all three).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum WrpkruPolicy {
-    /// Baseline: WRPKRU fully serializes the pipeline.
-    Serialized,
-    /// Speculative WRPKRU with no side-channel protection (upper bound).
-    NonSecureSpec,
-    /// The paper's secure speculative design.
-    #[default]
-    SpecMpk,
-}
-
-impl WrpkruPolicy {
-    /// All policies, in the order the paper's figures present them.
-    #[must_use]
-    pub fn all() -> [WrpkruPolicy; 3] {
-        [WrpkruPolicy::Serialized, WrpkruPolicy::NonSecureSpec, WrpkruPolicy::SpecMpk]
-    }
-}
-
-impl fmt::Display for WrpkruPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WrpkruPolicy::Serialized => f.write_str("Serialized"),
-            WrpkruPolicy::NonSecureSpec => f.write_str("NonSecure SpecMPK"),
-            WrpkruPolicy::SpecMpk => f.write_str("SpecMPK"),
-        }
-    }
-}
 
 /// Configuration of the SpecMPK hardware structures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -1,12 +1,12 @@
-//! The [`PermissionPolicy`] trait: the open-ended replacement for matching
-//! on [`WrpkruPolicy`] everywhere.
+//! The [`PermissionPolicy`] trait: every WRPKRU policy decision the
+//! pipeline makes.
 //!
-//! Every decision the pipeline used to make by switching on the policy enum
-//! is a method here, taking a [`PolicyView`] — a read-only window onto the
-//! engine's rename state (`ROB_pkru`, `ARF_pkru`, Disabling Counters) — so
-//! a policy can *decide* but never *mutate*. The three paper policies are
-//! the unit types [`Serialized`], [`NonSecureSpec`] and [`SpecMpk`];
-//! [`registry`] maps stable names to them.
+//! Each decision is a method here, taking a [`PolicyView`] — a read-only
+//! window onto the engine's rename state (`ROB_pkru`, `ARF_pkru`,
+//! Disabling Counters) — so a policy can *decide* but never *mutate*. The
+//! three paper policies are the unit types [`Serialized`],
+//! [`NonSecureSpec`] and [`SpecMpk`]; [`registry`] maps stable names to
+//! them.
 //!
 //! # Registering a fourth policy
 //!
@@ -25,7 +25,7 @@ use specmpk_mpk::{AccessKind, Pkey, Pkru, ProtectionFault};
 use crate::counters::DisablingCounters;
 use crate::engine::PkruSource;
 use crate::rob_pkru::{PkruTag, RobPkru};
-use crate::{SpecMpkConfig, WrpkruPolicy};
+use crate::SpecMpkConfig;
 
 /// Read-only window onto the [`PkruEngine`](crate::PkruEngine) state a
 /// policy decides over: the speculative buffer, the committed register and
@@ -104,9 +104,8 @@ pub trait PermissionPolicy: fmt::Debug + Sync {
     /// (`--policy <key>`).
     fn key(&self) -> &'static str;
 
-    /// Human-readable name, used in figures and tables. Matches the
-    /// pre-trait `WrpkruPolicy` `Display` strings so golden artifacts stay
-    /// byte-identical.
+    /// Human-readable name, used in figures and tables (and so in the
+    /// golden artifacts).
     fn display_name(&self) -> &'static str;
 
     /// Number of `ROB_pkru` entries the engine allocates for this policy.
@@ -449,20 +448,9 @@ impl fmt::Display for PolicyRef {
     }
 }
 
-impl From<WrpkruPolicy> for PolicyRef {
-    fn from(policy: WrpkruPolicy) -> Self {
-        match policy {
-            WrpkruPolicy::Serialized => PolicyRef::SERIALIZED,
-            WrpkruPolicy::NonSecureSpec => PolicyRef::NONSECURE_SPEC,
-            WrpkruPolicy::SpecMpk => PolicyRef::SPEC_MPK,
-        }
-    }
-}
-
 /// The name → policy registry: the single place that knows which policies
-/// exist. Everything that used to iterate `WrpkruPolicy::all()` iterates
-/// [`all`](registry::all) instead, and everything that parsed a policy
-/// name resolves it with [`by_name`](registry::by_name).
+/// exist. Iterate them with [`all`](registry::all) and resolve a policy
+/// name with [`by_name`](registry::by_name).
 pub mod registry {
     use super::PolicyRef;
 
@@ -505,19 +493,6 @@ mod tests {
         }
         assert_eq!(registry::by_name("SpecMPK"), Some(PolicyRef::SPEC_MPK), "case-insensitive");
         assert!(registry::by_name("no-such-policy").is_none());
-    }
-
-    #[test]
-    fn enum_conversion_matches_registry_order() {
-        let from_enum: Vec<PolicyRef> = WrpkruPolicy::all().into_iter().map(Into::into).collect();
-        assert_eq!(from_enum, registry::all().to_vec());
-    }
-
-    #[test]
-    fn display_matches_legacy_enum_display() {
-        for policy in WrpkruPolicy::all() {
-            assert_eq!(policy.to_string(), PolicyRef::from(policy).to_string());
-        }
     }
 
     #[test]

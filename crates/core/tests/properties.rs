@@ -6,7 +6,7 @@
 #![cfg(feature = "proptest")]
 
 use proptest::prelude::*;
-use specmpk_core::{PkruEngine, PkruTag, SpecMpkConfig, WrpkruPolicy};
+use specmpk_core::{PkruEngine, PkruTag, PolicyRef, SpecMpkConfig};
 use specmpk_mpk::{Pkey, Pkru};
 
 /// An abstract operation on the engine.
@@ -65,7 +65,7 @@ proptest! {
     /// the naive window model for every pkey.
     #[test]
     fn checks_agree_with_naive_window_model(ops in arb_ops()) {
-        let mut engine = PkruEngine::new(WrpkruPolicy::SpecMpk, SpecMpkConfig::default());
+        let mut engine = PkruEngine::new(PolicyRef::SPEC_MPK, SpecMpkConfig::default());
         let mut model = Model::default();
         type Checkpoint = (specmpk_core::PkruCheckpoint, Vec<(PkruTag, Option<Pkru>)>);
         let mut checkpoints: Vec<Checkpoint> = Vec::new();
@@ -145,7 +145,7 @@ proptest! {
     #[test]
     fn full_drain_zeroes_counters(values in prop::collection::vec(any::<u32>(), 1..20)) {
         let mut engine = PkruEngine::new(
-            WrpkruPolicy::SpecMpk,
+            PolicyRef::SPEC_MPK,
             SpecMpkConfig { rob_pkru_size: 32, store_queue_size: 72 },
         );
         let mut tags = Vec::new();
@@ -166,7 +166,7 @@ proptest! {
     /// inverse: state is bit-identical afterwards.
     #[test]
     fn restore_is_exact_inverse(values in prop::collection::vec(any::<u32>(), 1..8)) {
-        let mut engine = PkruEngine::new(WrpkruPolicy::SpecMpk, SpecMpkConfig::default());
+        let mut engine = PkruEngine::new(PolicyRef::SPEC_MPK, SpecMpkConfig::default());
         let committed_before = engine.committed();
         let cp = engine.checkpoint();
         for &v in &values {

@@ -54,7 +54,12 @@ pub mod artifact {
     /// directory if needed. A write failure is reported on stderr but
     /// does not abort the experiment — the printed table still stands.
     pub fn write(name: &str, data: Json) {
-        let dir = output_dir();
+        write_to(output_dir(), name, &data);
+    }
+
+    /// Writes `data` to `<dir>/<name>.json`, creating `dir` if needed, and
+    /// reports the outcome on stderr.
+    fn write_to(dir: PathBuf, name: &str, data: &Json) {
         let path = dir.join(format!("{name}.json"));
         let outcome =
             std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, data.dump()));
@@ -78,15 +83,8 @@ pub mod artifact {
     /// gated artifact set — profiling on/off leaves it byte-identical.
     pub fn write_host_profile(name: &str) {
         let Some(phases) = specmpk_trace::phases_json() else { return };
-        let dir = output_dir().join("host_profile");
-        let path = dir.join(format!("{name}.json"));
         let data = Json::object().with("experiment", name).with("phases", phases);
-        let outcome =
-            std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, data.dump()));
-        match outcome {
-            Ok(()) => eprintln!("[artifact] wrote {}", path.display()),
-            Err(e) => eprintln!("[artifact] could not write {}: {e}", path.display()),
-        }
+        write_to(output_dir().join("host_profile"), name, &data);
     }
 
     /// Guest profiles collected from labeled runs, pending a
@@ -120,15 +118,8 @@ pub mod artifact {
             .into_iter()
             .map(|(label, profile)| Json::object().with("label", label).with("profile", profile))
             .collect();
-        let dir = output_dir().join("guest_profile");
-        let path = dir.join(format!("{name}.json"));
         let data = Json::object().with("experiment", name).with("runs", rows);
-        let outcome =
-            std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, data.dump()));
-        match outcome {
-            Ok(()) => eprintln!("[artifact] wrote {}", path.display()),
-            Err(e) => eprintln!("[artifact] could not write {}: {e}", path.display()),
-        }
+        write_to(output_dir().join("guest_profile"), name, &data);
     }
 }
 
@@ -159,11 +150,7 @@ pub fn fig4_kinstr() -> u32 {
 /// stalls and WRPKRU outcomes to guest PCs (returned in
 /// [`SimStats::guest`]); the default stats JSON is unchanged otherwise.
 #[must_use]
-pub fn run_policy(
-    program: &Program,
-    policy: impl Into<PolicyRef>,
-    max_instructions: u64,
-) -> SimStats {
+pub fn run_policy(program: &Program, policy: PolicyRef, max_instructions: u64) -> SimStats {
     let mut config = SimConfig::with_policy(policy);
     config.max_instructions = max_instructions;
     let mut core = Core::new(config, program);
@@ -175,7 +162,7 @@ pub fn run_policy(
 #[must_use]
 pub fn run_policy_with_rob(
     program: &Program,
-    policy: impl Into<PolicyRef>,
+    policy: PolicyRef,
     rob_pkru_size: usize,
     max_instructions: u64,
 ) -> SimStats {
@@ -196,7 +183,7 @@ pub fn run_policy_with_rob(
 #[must_use]
 pub fn run_policy_journaled(
     program: &Program,
-    policy: impl Into<PolicyRef>,
+    policy: PolicyRef,
     max_instructions: u64,
 ) -> (SimStats, String) {
     let mut config = SimConfig::with_policy(policy);
@@ -240,12 +227,11 @@ pub struct SampledWindow {
 #[must_use]
 pub fn sampled_run(
     program: &Program,
-    policy: impl Into<PolicyRef>,
+    policy: PolicyRef,
     warmup: u64,
     windows: usize,
     window_len: u64,
 ) -> Vec<SampledWindow> {
-    let policy = policy.into();
     let config = SimConfig::with_policy(policy);
     let mut ff = FastForward::new(&config, program);
     let warm_exit = ff.step_n(warmup);
@@ -1001,6 +987,18 @@ pub fn print_security_matrix(cells: &[SecurityCell]) {
 
 // ------------------------------------------------------------ Tables I–III
 
+/// Table I's rows: method, fast interleaved access, secure,
+/// least-privilege capability, and a one-line note.
+const TABLE1: [(&str, bool, bool, bool, &str); 7] = [
+    ("MPK", true, true, true, "user-space PKRU update, per-pkey domains"),
+    ("mprotect", false, true, true, "TLB shootdown per switch"),
+    ("MPX", true, false, true, "bound checks bypassable speculatively"),
+    ("ASLR", true, false, true, "layout leaks via side channels"),
+    ("IMIX", true, true, false, "single protected region only"),
+    ("SEIMI", true, true, false, "single SMAP-backed region"),
+    ("SFI", true, false, true, "masking misses un-instrumented code"),
+];
+
 /// Prints Table I: properties of isolation techniques (qualitative, encoded
 /// from §III-A's analysis).
 pub fn print_table1() {
@@ -1009,17 +1007,8 @@ pub fn print_table1() {
         "{:<12} {:>24} {:>8} {:>28}",
         "method", "fast interleaved access", "secure", "least-privilege capability"
     );
-    let rows: [(&str, bool, bool, bool, &str); 7] = [
-        ("MPK", true, true, true, "user-space PKRU update, per-pkey domains"),
-        ("mprotect", false, true, true, "TLB shootdown per switch"),
-        ("MPX", true, false, true, "bound checks bypassable speculatively"),
-        ("ASLR", true, false, true, "layout leaks via side channels"),
-        ("IMIX", true, true, false, "single protected region only"),
-        ("SEIMI", true, true, false, "single SMAP-backed region"),
-        ("SFI", true, false, true, "masking misses un-instrumented code"),
-    ];
     let tick = |b: bool| if b { "yes" } else { "no" };
-    for (name, fast, secure, lp, why) in rows {
+    for (name, fast, secure, lp, why) in TABLE1 {
         println!("{name:<12} {:>24} {:>8} {:>28}   ({why})", tick(fast), tick(secure), tick(lp));
     }
 }
@@ -1027,17 +1016,9 @@ pub fn print_table1() {
 /// Table I as a JSON artifact.
 #[must_use]
 pub fn table1_json() -> Json {
-    let rows: [(&str, bool, bool, bool, &str); 7] = [
-        ("MPK", true, true, true, "user-space PKRU update, per-pkey domains"),
-        ("mprotect", false, true, true, "TLB shootdown per switch"),
-        ("MPX", true, false, true, "bound checks bypassable speculatively"),
-        ("ASLR", true, false, true, "layout leaks via side channels"),
-        ("IMIX", true, true, false, "single protected region only"),
-        ("SEIMI", true, true, false, "single SMAP-backed region"),
-        ("SFI", true, false, true, "masking misses un-instrumented code"),
-    ];
     Json::Arr(
-        rows.into_iter()
+        TABLE1
+            .into_iter()
             .map(|(name, fast, secure, lp, why)| {
                 Json::object()
                     .with("method", name)

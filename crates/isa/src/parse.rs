@@ -45,6 +45,7 @@ fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ParseError> {
 
 fn parse_reg(line: usize, token: &str) -> Result<Reg, ParseError> {
     let token = token.trim();
+    let bad = || ParseError { line, message: format!("bad register '{token}'") };
     let named = match token {
         "zero" => Some(Reg::ZERO),
         "eax" => Some(Reg::EAX),
@@ -57,17 +58,16 @@ fn parse_reg(line: usize, token: &str) -> Result<Reg, ParseError> {
     if let Some(r) = named {
         return Ok(r);
     }
-    let (prefix, index) = token.split_at(1);
-    let n: u8 = index
-        .parse()
-        .map_err(|_| ParseError { line, message: format!("bad register '{token}'") })?;
+    // `None` for an empty token or one whose first character is not ASCII.
+    let (prefix, index) = token.split_at_checked(1).ok_or_else(bad)?;
+    let n: u8 = index.parse().map_err(|_| bad())?;
     let base = match prefix {
         "a" if n <= 4 => 5,
         "t" if n <= 4 => 10,
         "s" if n <= 15 => 16,
-        _ => return err(line, format!("bad register '{token}'")),
+        _ => return Err(bad()),
     };
-    Reg::new(base + n).ok_or(ParseError { line, message: format!("bad register '{token}'") })
+    Reg::new(base + n).ok_or_else(bad)
 }
 
 fn parse_int(line: usize, token: &str) -> Result<i64, ParseError> {
@@ -78,9 +78,10 @@ fn parse_int(line: usize, token: &str) -> Result<i64, ParseError> {
     };
     let value =
         if let Some(hex) = t.strip_prefix("0x") { i64::from_str_radix(hex, 16) } else { t.parse() };
-    match value {
-        Ok(v) => Ok(if neg { -v } else { v }),
-        Err(_) => err(line, format!("bad integer '{token}'")),
+    // `checked_neg` refuses `--9223372036854775808` (negating `i64::MIN`).
+    match value.ok().and_then(|v| if neg { v.checked_neg() } else { Some(v) }) {
+        Some(v) => Ok(v),
+        None => err(line, format!("bad integer '{token}'")),
     }
 }
 
@@ -440,6 +441,23 @@ mod tests {
         let instrs = parse_program("li t0, 0x1F\nli t1, -0x10\n", 0).unwrap();
         assert_eq!(instrs[0], Instr::Li { rd: Reg::T0, imm: 31 });
         assert_eq!(instrs[1], Instr::Li { rd: Reg::T1, imm: -16 });
+    }
+
+    #[test]
+    fn malformed_operands_are_errors_not_panics() {
+        for text in [
+            "li , 1",
+            "li é1, 1",
+            "add t0, t1,",
+            "beq , t0, 0",
+            "jalr t0,",
+            "ldd t0, 0()",
+            "std t0, 8()",
+            "li t0, --9223372036854775808",
+        ] {
+            let e = parse_program(text, 0).expect_err(text);
+            assert_eq!(e.line, 1, "{text}: {e}");
+        }
     }
 
     #[test]

@@ -4,7 +4,9 @@
 #![cfg(feature = "proptest")]
 
 use proptest::prelude::*;
-use specmpk_isa::{decode, encode, AluOp, BranchCond, Instr, MemWidth, Operand, Reg};
+use specmpk_isa::{
+    decode, encode, parse_program, AluOp, BranchCond, Instr, MemWidth, Operand, Reg,
+};
 
 fn arb_reg() -> impl Strategy<Value = Reg> {
     (0u8..32).prop_map(|i| Reg::new(i).unwrap())
@@ -100,7 +102,48 @@ proptest! {
     fn display_parse_round_trip(instr in arb_instr()) {
         let text = instr.to_string();
         // Branch/jump targets print as absolute addresses, so parse at any base.
-        let parsed = specmpk_isa::parse_program(&text, 0).unwrap();
+        let parsed = parse_program(&text, 0).unwrap();
         prop_assert_eq!(parsed, vec![instr]);
+    }
+}
+
+/// Fragments spliced into random listings: the characters the parser
+/// splits on, operand prefixes, and a multi-byte letter.
+const JUNK: [&str; 12] = [",", "(", ")", ":", "#", "-", "--", "0x", "é", " ", "\n", "s9"];
+
+/// Whether `parse_program` returns (a program or a `ParseError`) instead
+/// of panicking on `text`.
+fn parse_returns(text: &str) -> bool {
+    std::panic::catch_unwind(|| drop(parse_program(text, 0x1000))).is_ok()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64 })]
+
+    /// `parse_program` is total over damaged listings: every truncation of
+    /// a disassembled program, a run of byte flips, and a random string of
+    /// the listing's tokens and `JUNK` all parse or are refused.
+    #[test]
+    fn parse_program_is_total(
+        instrs in prop::collection::vec(arb_instr(), 1..8),
+        flips in prop::collection::vec((any::<u64>(), 1u8..=255), 1..8),
+        picks in prop::collection::vec(any::<u64>(), 1..24),
+    ) {
+        let text: String = instrs.iter().map(|i| format!("{i}\n")).collect();
+        for (cut, _) in text.char_indices() {
+            prop_assert!(parse_returns(&text[..cut]), "panicked on {:?}", &text[..cut]);
+        }
+        let mut bytes = text.clone().into_bytes();
+        for (at, mask) in flips {
+            let len = bytes.len() as u64;
+            bytes[(at % len) as usize] ^= mask;
+            let flipped = String::from_utf8_lossy(&bytes);
+            prop_assert!(parse_returns(&flipped), "panicked on {:?}", flipped);
+        }
+        let mut pieces: Vec<&str> = text.split_inclusive([' ', ',', '(', ')', '\n']).collect();
+        pieces.extend(JUNK);
+        let len = pieces.len() as u64;
+        let random: String = picks.iter().map(|&p| pieces[(p % len) as usize]).collect();
+        prop_assert!(parse_returns(&random), "panicked on {:?}", random);
     }
 }

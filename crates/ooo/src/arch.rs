@@ -1,34 +1,36 @@
 //! Shared architectural-state layer.
 //!
-//! Before this module existed, architectural state (registers, PC, PKRU)
-//! and instruction semantics were hand-kept in two places: the reference
-//! interpreter ([`crate::interp`]) and the detailed pipeline stages
-//! (`rename`/`issue`/`retire`). [`ArchState`] is now the single owner of
-//! that state, and the semantic helpers below ([`alu_value`],
+//! [`ArchState`] is the single owner of architectural state (registers,
+//! PC, PKRU), and the semantic helpers below ([`alu_value`],
 //! [`effective_addr`], [`branch_taken`], [`wrpkru_value`], ...) are the
-//! single definition of each instruction's architectural effect — the
-//! interpreter steps [`ArchState::step`] directly, and the detailed core's
-//! stages call the same helpers per instruction.
+//! single definition of each instruction's architectural effect. The
+//! detailed core's stages (`rename`/`issue`/`retire`) call the same helpers
+//! per instruction.
 //!
-//! On top of the shared state type sits [`FastForward`]: a functional
-//! execution mode that retires instructions at interpreter speed while
-//! still warming the caches/TLB ([`MemorySystem::data_timing`] /
-//! [`MemorySystem::inst_timing`]) and training the branch predictor, with
-//! no ROB/IQ/PRF bookkeeping. Its state transplants into the detailed
-//! pipeline via [`Checkpoint`](crate::checkpoint::Checkpoint) and
-//! [`Core::from_checkpoint`](crate::Core::from_checkpoint).
+//! [`Machine`] is the one in-order driver over [`ArchState::step`]. Its
+//! effects handler picks what a run does besides architectural execution:
+//!
+//! * [`Interp`] = `Machine<PureStep>`, the reference interpreter. Every
+//!   hook is a no-op, so it executes with the exact architectural
+//!   semantics the pipeline must preserve (including MPK permission checks
+//!   against the committed PKRU). Differential tests run random programs on
+//!   both it and [`Core`](crate::Core) and require identical final state.
+//! * [`FastForward`] = `Machine<Warmup>`, functional execution that retires
+//!   instructions at interpreter speed while still warming the caches/TLB
+//!   ([`MemorySystem::data_timing`] / [`MemorySystem::inst_timing`]) and
+//!   training the branch predictor, with no ROB/IQ/PRF bookkeeping. Its
+//!   state transplants into the detailed pipeline via
+//!   [`Checkpoint`](crate::checkpoint::Checkpoint) and
+//!   [`Core::from_checkpoint`](crate::Core::from_checkpoint).
 
 use specmpk_isa::{AluOp, BranchCond, Instr, Operand, Program, Reg, INSTR_BYTES, NUM_REGS};
-use specmpk_mem::{MemorySystem, PageFault};
+use specmpk_mem::{MemConfig, MemorySystem, PageFault};
 use specmpk_mpk::{AccessKind, Pkey, Pkru, ProtectionFault};
 
 use crate::predictor::BranchPredictor;
 use crate::SimConfig;
 
 /// Why architectural execution stopped.
-///
-/// Shared by the reference interpreter (re-exported there as
-/// [`InterpExit`](crate::interp::InterpExit)) and the fast-forward engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArchExit {
     /// A `halt` instruction retired.
@@ -37,8 +39,6 @@ pub enum ArchExit {
     ProtectionFault(ProtectionFault),
     /// A page fault (unmapped or page-table permission).
     PageFault(PageFault),
-    /// The step budget ran out.
-    StepLimit,
     /// `pc` left the text section.
     BadPc(u64),
 }
@@ -142,11 +142,11 @@ pub fn check_access(
 /// Microarchitectural side-channel of an architectural step.
 ///
 /// [`ArchState::step`] executes pure architectural semantics and reports
-/// each microarchitecturally relevant event through this trait. The
-/// interpreter passes [`PureStep`] (every hook a no-op: architectural
-/// execution only); [`FastForward`] passes a warmup implementation that
-/// drives cache/TLB timing and predictor training off the same events the
-/// detailed pipeline would generate on the correct path.
+/// each microarchitecturally relevant event through this trait. [`Interp`]
+/// passes [`PureStep`] (every hook a no-op: architectural execution only);
+/// [`FastForward`] passes [`Warmup`], which drives cache/TLB timing and
+/// predictor training off the same events the detailed pipeline would
+/// generate on the correct path.
 pub trait StepEffects {
     /// An instruction fetch at `pc` is about to execute.
     fn fetch(&mut self, mem: &mut MemorySystem, pc: u64) {
@@ -326,22 +326,34 @@ impl ArchState {
 /// Warmup [`StepEffects`]: drives cache/TLB fills and predictor training
 /// from the architectural instruction stream, mirroring the events the
 /// detailed core generates on the correct path.
-struct WarmupFx<'a> {
-    predictor: &'a mut BranchPredictor,
-    last_fetch_line: &'a mut Option<u64>,
+#[derive(Debug)]
+pub struct Warmup {
+    /// The branch predictor being trained.
+    pub(crate) predictor: BranchPredictor,
+    /// Line of the last instruction fetch (the fetch gate). Checkpoints
+    /// keep it so resumed runs generate identical instruction-cache
+    /// traffic.
+    pub(crate) last_fetch_line: Option<u64>,
 }
 
-impl StepEffects for WarmupFx<'_> {
+// Every hook is `#[inline]`: `Machine::step_n` is generic, so it is
+// compiled in the crate that calls it, and a non-`#[inline]` method of this
+// crate stays an out-of-line call there. Without the attribute,
+// `specmpk-benchmark`'s `sampled` fast-forward ran slower in 4 of 4
+// alternating pairs (median -17%, 2-vCPU VM).
+impl StepEffects for Warmup {
+    #[inline]
     fn fetch(&mut self, mem: &mut MemorySystem, pc: u64) {
         // One instruction-cache access per newly touched line — the same
         // per-line discipline the detailed fetch stage uses.
         let line = specmpk_mem::line_base(pc);
-        if *self.last_fetch_line != Some(line) {
-            *self.last_fetch_line = Some(line);
+        if self.last_fetch_line != Some(line) {
+            self.last_fetch_line = Some(line);
             let _ = mem.inst_timing(pc);
         }
     }
 
+    #[inline]
     fn cond_branch(&mut self, pc: u64, taken: bool) {
         // Predict (shifting the prediction into the history, as fetch
         // does), train the fetch-time counter with the outcome, then pin
@@ -353,18 +365,22 @@ impl StepEffects for WarmupFx<'_> {
         self.predictor.set_last_history_bit(taken);
     }
 
+    #[inline]
     fn call(&mut self, _pc: u64, return_addr: u64) {
         self.predictor.ras_push(return_addr);
     }
 
+    #[inline]
     fn ret(&mut self, _pc: u64) {
         let _ = self.predictor.ras_pop();
     }
 
+    #[inline]
     fn indirect(&mut self, pc: u64, target: u64) {
         self.predictor.btb_update(pc, target);
     }
 
+    #[inline]
     fn data_access(&mut self, mem: &mut MemorySystem, addr: u64, kind: AccessKind) {
         // The check already translated without side effects; re-translate
         // in updating mode to fill the TLB, then run the access through
@@ -373,13 +389,19 @@ impl StepEffects for WarmupFx<'_> {
         let _ = mem.data_timing(addr);
     }
 
+    #[inline]
     fn flush(&mut self, mem: &mut MemorySystem, addr: u64) {
         mem.flush_line(addr);
     }
 }
 
-/// Functional fast-forward engine: interpreter-speed execution that warms
-/// the microarchitectural state the detailed core samples from.
+/// A program executing in order on an [`ArchState`], one
+/// [`ArchState::step`] at a time, with the effects handler `E` (see the
+/// module docs for the two instances, [`Interp`] and [`FastForward`]).
+///
+/// The machine is resumable: [`step_n`](Self::step_n) borrows it, so
+/// callers can interleave bounded execution with state inspection or
+/// checkpointing without cloning the memory image.
 ///
 /// # Examples
 ///
@@ -398,59 +420,28 @@ impl StepEffects for WarmupFx<'_> {
 /// # Ok::<(), specmpk_isa::AsmError>(())
 /// ```
 #[derive(Debug)]
-pub struct FastForward<'p> {
-    program: &'p Program,
-    state: ArchState,
-    mem: MemorySystem,
-    predictor: BranchPredictor,
-    executed: u64,
-    last_fetch_line: Option<u64>,
+pub struct Machine<'p, E> {
+    pub(crate) program: &'p Program,
+    pub(crate) state: ArchState,
+    pub(crate) mem: MemorySystem,
+    pub(crate) fx: E,
+    pub(crate) executed: u64,
 }
 
-impl<'p> FastForward<'p> {
-    /// Creates a fast-forward engine at program entry with cold caches,
-    /// TLB and predictor, using the same memory/predictor geometry and
-    /// initial PKRU as a detailed [`Core`](crate::Core) built from
-    /// `config`.
-    #[must_use]
-    pub fn new(config: &SimConfig, program: &'p Program) -> Self {
-        let mut mem = MemorySystem::new(config.mem);
-        mem.load_program(program);
-        FastForward {
-            program,
-            state: ArchState::at_entry(program, config.initial_pkru),
-            mem,
-            predictor: BranchPredictor::new(config.predictor),
-            executed: 0,
-            last_fetch_line: None,
-        }
-    }
+/// The reference interpreter: architectural execution only.
+pub type Interp<'p> = Machine<'p, PureStep>;
 
-    /// Rebuilds a fast-forward engine from previously captured parts
-    /// (continuing from an in-memory checkpoint). `last_fetch_line` is
-    /// the fetch gate returned by [`FastForward::into_parts`]; restoring
-    /// it keeps a resumed run's instruction-cache traffic identical to an
-    /// uninterrupted one.
-    #[must_use]
-    pub fn from_parts(
-        program: &'p Program,
-        state: ArchState,
-        mem: MemorySystem,
-        predictor: BranchPredictor,
-        executed: u64,
-        last_fetch_line: Option<u64>,
-    ) -> Self {
-        FastForward { program, state, mem, predictor, executed, last_fetch_line }
-    }
+/// The functional fast-forward engine: warms the caches, TLB and branch
+/// predictor the detailed core samples from.
+pub type FastForward<'p> = Machine<'p, Warmup>;
 
+impl<E: StepEffects> Machine<'_, E> {
     /// Executes up to `n` further instructions. Returns `None` if the
-    /// budget was exhausted with the machine still runnable, or the
-    /// terminal [`ArchExit`] otherwise (never [`ArchExit::StepLimit`]).
+    /// budget ran out with the machine still runnable (call `step_n` again
+    /// to resume), or the terminal [`ArchExit`] otherwise.
     pub fn step_n(&mut self, n: u64) -> Option<ArchExit> {
-        let mut fx =
-            WarmupFx { predictor: &mut self.predictor, last_fetch_line: &mut self.last_fetch_line };
         for _ in 0..n {
-            match self.state.step(self.program, &mut self.mem, &mut fx) {
+            match self.state.step(self.program, &mut self.mem, &mut self.fx) {
                 Ok(true) => self.executed += 1,
                 Ok(false) => {
                     self.executed += 1;
@@ -474,30 +465,46 @@ impl<'p> FastForward<'p> {
         &self.state
     }
 
-    /// The warmed memory system (caches, TLB, memory image).
+    /// The memory system: the memory image, plus the caches and TLB a
+    /// [`FastForward`] run warmed.
     #[must_use]
     pub fn mem(&self) -> &MemorySystem {
         &self.mem
     }
+}
 
-    /// The trained branch predictor.
+impl<'p> Interp<'p> {
+    /// Creates an interpreter at program entry (see
+    /// [`ArchState::at_entry`]) with a default memory system.
     #[must_use]
-    pub fn predictor(&self) -> &BranchPredictor {
-        &self.predictor
+    pub fn new(program: &'p Program, initial_pkru: Pkru) -> Self {
+        let mut mem = MemorySystem::new(MemConfig::default());
+        mem.load_program(program);
+        let state = ArchState::at_entry(program, initial_pkru);
+        Machine { program, state, mem, fx: PureStep, executed: 0 }
     }
+}
 
-    /// Decomposes into `(state, mem, predictor, executed,
-    /// last_fetch_line)` for checkpoint construction.
+impl<'p> FastForward<'p> {
+    /// Creates a fast-forward engine at program entry with cold caches,
+    /// TLB and predictor, using the same memory/predictor geometry and
+    /// initial PKRU as a detailed [`Core`](crate::Core) built from
+    /// `config`.
     #[must_use]
-    pub fn into_parts(self) -> (ArchState, MemorySystem, BranchPredictor, u64, Option<u64>) {
-        (self.state, self.mem, self.predictor, self.executed, self.last_fetch_line)
+    pub fn new(config: &SimConfig, program: &'p Program) -> Self {
+        let mut mem = MemorySystem::new(config.mem);
+        mem.load_program(program);
+        let state = ArchState::at_entry(program, config.initial_pkru);
+        let fx =
+            Warmup { predictor: BranchPredictor::new(config.predictor), last_fetch_line: None };
+        Machine { program, state, mem, fx, executed: 0 }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specmpk_isa::{Assembler, BranchCond, MemWidth};
+    use specmpk_isa::{Assembler, DataSegment, MemWidth, SegmentPerms};
     use specmpk_mpk::Pkey;
 
     fn countdown_program() -> Program {
@@ -512,19 +519,181 @@ mod tests {
         asm.branch(BranchCond::Ne, Reg::T0, Reg::ZERO, top);
         asm.halt();
         let mut p = Program::new(asm.base(), asm.assemble().unwrap());
-        p.add_segment(specmpk_isa::DataSegment::zeroed("d", 0x8000, 4096, Pkey::DEFAULT));
+        p.add_segment(DataSegment::zeroed("d", 0x8000, 4096, Pkey::DEFAULT));
         p
+    }
+
+    /// Interprets `asm` with `segments` loaded until it stops (or 100k
+    /// steps), returning the exit and the final state.
+    fn interpret(asm: Assembler, segments: Vec<DataSegment>) -> (Option<ArchExit>, ArchState) {
+        let mut p = Program::new(asm.base(), asm.assemble().unwrap());
+        for s in segments {
+            p.add_segment(s);
+        }
+        let mut machine = Interp::new(&p, Pkru::ALL_ACCESS);
+        let exit = machine.step_n(100_000);
+        (exit, machine.state)
+    }
+
+    #[test]
+    fn loop_sums_array() {
+        let mut asm = Assembler::new(0x1000);
+        let data: Vec<u8> = (1u8..=8).flat_map(|v| u64::from(v).to_le_bytes()).collect();
+        let seg = DataSegment::with_bytes("d", 0x8000, data, Pkey::DEFAULT);
+        let top = asm.fresh_label();
+        asm.li(Reg::T0, 0);
+        asm.li(Reg::T1, 0x8000);
+        asm.li(Reg::T2, 0x8000 + 64);
+        asm.bind(top).unwrap();
+        asm.load(Reg::T3, Reg::T1, 0, MemWidth::D);
+        asm.alu(AluOp::Add, Reg::T0, Reg::T0, Operand::Reg(Reg::T3));
+        asm.addi(Reg::T1, Reg::T1, 8);
+        asm.branch(BranchCond::Lt, Reg::T1, Reg::T2, top);
+        asm.halt();
+        let (exit, state) = interpret(asm, vec![seg]);
+        assert_eq!(exit, Some(ArchExit::Halted));
+        assert_eq!(state.read_reg(Reg::T0), 36);
+    }
+
+    #[test]
+    fn call_and_return_via_link_register() {
+        let mut asm = Assembler::new(0x1000);
+        let f = asm.fresh_label();
+        asm.call(f);
+        asm.halt();
+        asm.bind(f).unwrap();
+        asm.li(Reg::A0, 11);
+        asm.ret();
+        let (exit, state) = interpret(asm, vec![]);
+        assert_eq!(exit, Some(ArchExit::Halted));
+        assert_eq!(state.read_reg(Reg::A0), 11);
+        assert_eq!(state.read_reg(Reg::RA), 0x1008);
+    }
+
+    #[test]
+    fn wrpkru_blocks_subsequent_access() {
+        let mut asm = Assembler::new(0x1000);
+        let key = Pkey::new(1).unwrap();
+        let seg = DataSegment::zeroed("secret", 0x8000, 4096, key);
+        asm.set_pkru(Pkru::ALL_ACCESS.with_access_disabled(key, true).bits());
+        asm.li(Reg::T0, 0x8000);
+        asm.load(Reg::T1, Reg::T0, 0, MemWidth::D);
+        asm.halt();
+        match interpret(asm, vec![seg]).0 {
+            Some(ArchExit::ProtectionFault(f)) => {
+                assert_eq!(f.pkey(), key);
+                assert_eq!(f.access(), AccessKind::Read);
+            }
+            other => panic!("expected protection fault, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn wrpkru_enable_then_disable_window() {
+        let mut asm = Assembler::new(0x1000);
+        let key = Pkey::new(2).unwrap();
+        let seg = DataSegment::zeroed("safe", 0x8000, 4096, key);
+        let locked = Pkru::ALL_ACCESS.with_write_disabled(key, true);
+        // Open window, store, close window, then read (reads stay legal).
+        asm.set_pkru(Pkru::ALL_ACCESS.bits());
+        asm.li(Reg::T0, 0x8000);
+        asm.li(Reg::T1, 77);
+        asm.store(Reg::T1, Reg::T0, 0, MemWidth::D);
+        asm.set_pkru(locked.bits());
+        asm.load(Reg::T2, Reg::T0, 0, MemWidth::D);
+        asm.halt();
+        let (exit, state) = interpret(asm, vec![seg]);
+        assert_eq!(exit, Some(ArchExit::Halted));
+        assert_eq!(state.read_reg(Reg::T2), 77);
+        assert_eq!(state.pkru, locked);
+    }
+
+    #[test]
+    fn rdpkru_reads_current_value() {
+        let mut asm = Assembler::new(0x1000);
+        asm.set_pkru(0x0000_00F0);
+        asm.rdpkru();
+        asm.halt();
+        assert_eq!(interpret(asm, vec![]).1.read_reg(Reg::EAX), 0xF0);
+    }
+
+    #[test]
+    fn page_table_write_protection_faults() {
+        let mut asm = Assembler::new(0x1000);
+        let mut seg = DataSegment::zeroed("ro", 0x8000, 4096, Pkey::DEFAULT);
+        seg.perms = SegmentPerms::R;
+        asm.li(Reg::T0, 0x8000);
+        asm.store(Reg::T0, Reg::T0, 0, MemWidth::D);
+        asm.halt();
+        let (exit, _) = interpret(asm, vec![seg]);
+        assert!(matches!(exit, Some(ArchExit::PageFault(PageFault::PermissionDenied { .. }))));
+    }
+
+    #[test]
+    fn runaway_program_exhausts_the_budget() {
+        let mut asm = Assembler::new(0x1000);
+        let top = asm.fresh_label();
+        asm.bind(top).unwrap();
+        asm.jump(top);
+        let p = Program::new(asm.base(), asm.assemble().unwrap());
+        let mut machine = Interp::new(&p, Pkru::ALL_ACCESS);
+        assert_eq!(machine.step_n(100), None);
+        assert_eq!(machine.executed(), 100);
+    }
+
+    #[test]
+    fn step_n_resumes_where_it_paused() {
+        let mut asm = Assembler::new(0x1000);
+        let top = asm.fresh_label();
+        asm.li(Reg::T0, 0);
+        asm.bind(top).unwrap();
+        asm.addi(Reg::T0, Reg::T0, 1);
+        asm.branch(BranchCond::Lt, Reg::T0, Reg::T1, top);
+        asm.halt();
+        let mut p = Program::new(asm.base(), asm.assemble().unwrap());
+        p.add_segment(DataSegment::zeroed("stack", 0x7000_0000, 0x1000, Pkey::DEFAULT));
+
+        // Resumed execution in uneven slices must match one uninterrupted
+        // run exactly, without ever cloning or rebuilding the machine.
+        let mut machine = Interp::new(&p, Pkru::ALL_ACCESS);
+        machine.state.regs[Reg::T1.index()] = 10;
+        assert_eq!(machine.step_n(3), None);
+        assert_eq!(machine.executed(), 3);
+        let mid = machine.state().read_reg(Reg::T0);
+        assert_eq!(machine.step_n(1), None);
+        assert_eq!(machine.state().read_reg(Reg::T0), mid + 1);
+        assert_eq!(machine.step_n(u64::MAX), Some(ArchExit::Halted));
+        assert_eq!(machine.state().read_reg(Reg::T0), 10);
+        assert_eq!(machine.executed(), 2 * 10 + 1 + 1);
+    }
+
+    #[test]
+    fn falling_off_text_reports_bad_pc() {
+        let mut asm = Assembler::new(0x1000);
+        asm.nop();
+        let (exit, _) = interpret(asm, vec![]);
+        assert_eq!(exit, Some(ArchExit::BadPc(0x1008)));
+    }
+
+    #[test]
+    fn stack_segment_seeds_sp() {
+        let mut asm = Assembler::new(0x1000);
+        asm.halt();
+        let mut p = Program::new(asm.base(), asm.assemble().unwrap());
+        p.add_segment(DataSegment::zeroed("stack", 0x7000_0000, 0x1000, Pkey::DEFAULT));
+        let machine = Interp::new(&p, Pkru::ALL_ACCESS);
+        assert_eq!(machine.state().read_reg(Reg::SP), 0x7000_1000 - 16);
     }
 
     #[test]
     fn fast_forward_matches_pure_interpretation() {
         let program = countdown_program();
         let mut ff = FastForward::new(&SimConfig::default(), &program);
-        let exit = ff.step_n(10_000);
-        assert_eq!(exit, Some(ArchExit::Halted));
-        let pure = crate::interp::Interp::new(&program, Pkru::ALL_ACCESS).run(10_000);
-        assert_eq!(ff.state().regs, pure.regs);
-        assert_eq!(ff.executed(), pure.executed);
+        assert_eq!(ff.step_n(10_000), Some(ArchExit::Halted));
+        let mut pure = Interp::new(&program, Pkru::ALL_ACCESS);
+        assert_eq!(pure.step_n(10_000), Some(ArchExit::Halted));
+        assert_eq!(ff.state(), pure.state());
+        assert_eq!(ff.executed(), pure.executed());
     }
 
     #[test]
@@ -549,7 +718,7 @@ mod tests {
         // taken for it at the final history. (Weakly-taken init already
         // predicts taken, so check the counter actually saturated by
         // observing a prediction after training.)
-        let mut p = ff.predictor.clone();
+        let mut p = ff.fx.predictor.clone();
         assert!(p.predict_and_update_direction(0x1000 + 3 * INSTR_BYTES));
     }
 
@@ -559,10 +728,10 @@ mod tests {
         let mut ff = FastForward::new(&SimConfig::default(), &program);
         assert_eq!(ff.step_n(5), None);
         assert_eq!(ff.executed(), 5);
-        let exit = ff.step_n(u64::MAX);
-        assert_eq!(exit, Some(ArchExit::Halted));
-        let pure = crate::interp::Interp::new(&program, Pkru::ALL_ACCESS).run(u64::MAX);
-        assert_eq!(ff.executed(), pure.executed);
-        assert_eq!(ff.state().regs, pure.regs);
+        assert_eq!(ff.step_n(u64::MAX), Some(ArchExit::Halted));
+        let mut pure = Interp::new(&program, Pkru::ALL_ACCESS);
+        assert_eq!(pure.step_n(u64::MAX), Some(ArchExit::Halted));
+        assert_eq!(ff.executed(), pure.executed());
+        assert_eq!(ff.state(), pure.state());
     }
 }

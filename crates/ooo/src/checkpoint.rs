@@ -27,7 +27,7 @@ use specmpk_mem::MemorySystem;
 use specmpk_mpk::Pkru;
 use specmpk_trace::Json;
 
-use crate::arch::{ArchState, FastForward};
+use crate::arch::{ArchState, FastForward, Machine, Warmup};
 use crate::predictor::BranchPredictor;
 use crate::SimConfig;
 
@@ -60,22 +60,26 @@ impl Checkpoint {
     /// Captures a checkpoint from a fast-forward engine, consuming it.
     #[must_use]
     pub fn capture(ff: FastForward<'_>) -> Self {
-        let (arch, mem, predictor, executed, last_fetch_line) = ff.into_parts();
-        Checkpoint { arch, executed, mem, predictor, last_fetch_line }
+        Checkpoint {
+            arch: ff.state,
+            executed: ff.executed,
+            mem: ff.mem,
+            predictor: ff.fx.predictor,
+            last_fetch_line: ff.fx.last_fetch_line,
+        }
     }
 
     /// Resumes functional execution from this checkpoint (cloning the
     /// captured state, so the checkpoint can seed further windows).
     #[must_use]
     pub fn resume_fast_forward<'p>(&self, program: &'p specmpk_isa::Program) -> FastForward<'p> {
-        FastForward::from_parts(
+        Machine {
             program,
-            self.arch.clone(),
-            self.mem.clone(),
-            self.predictor.clone(),
-            self.executed,
-            self.last_fetch_line,
-        )
+            state: self.arch.clone(),
+            mem: self.mem.clone(),
+            fx: Warmup { predictor: self.predictor.clone(), last_fetch_line: self.last_fetch_line },
+            executed: self.executed,
+        }
     }
 
     /// Serializes the checkpoint. Dumping the returned value yields

@@ -111,12 +111,10 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// The default configuration with a different WRPKRU policy. Accepts
-    /// anything convertible to a [`PolicyRef`] — a registry entry or the
-    /// legacy `WrpkruPolicy` enum.
+    /// The default configuration with a different WRPKRU policy.
     #[must_use]
-    pub fn with_policy(policy: impl Into<PolicyRef>) -> Self {
-        SimConfig { policy: policy.into(), ..SimConfig::default() }
+    pub fn with_policy(policy: PolicyRef) -> Self {
+        SimConfig { policy, ..SimConfig::default() }
     }
 
     /// Returns a copy with the given `ROB_pkru` size (the Fig. 11 knob).

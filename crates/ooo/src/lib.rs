@@ -24,15 +24,15 @@
 //!   deferred; `RDPKRU` serializes).
 //!
 //! The [`arch`] module owns the architectural state shared by both
-//! execution engines: the [`interp`] reference interpreter (used by
-//! differential tests: any program must produce the same final
-//! architectural state on the pipeline and on the interpreter) and the
-//! detailed core execute the same semantic functions against the same
-//! [`arch::ArchState`]. On top of it, [`arch::FastForward`] provides
-//! functional warmup execution and [`checkpoint`] a byte-deterministic
-//! save/restore format, so long workloads can be sampled: fast-forward
-//! cheaply, checkpoint once, and boot detailed windows from the warm
-//! state via [`Core::from_checkpoint`].
+//! execution engines: the detailed core and the in-order
+//! [`arch::Machine`] execute the same semantic functions against the same
+//! [`arch::ArchState`]. The machine is the reference interpreter
+//! ([`arch::Interp`], used by differential tests: any program must produce
+//! the same final architectural state on the pipeline and on the
+//! interpreter) and the functional warmup engine ([`arch::FastForward`]).
+//! With [`checkpoint`], a byte-deterministic save/restore format, long
+//! workloads can be sampled: fast-forward cheaply, checkpoint once, and
+//! boot detailed windows from the warm state via [`Core::from_checkpoint`].
 //!
 //! # Examples
 //!
@@ -59,7 +59,6 @@ mod active_list;
 pub mod arch;
 pub mod checkpoint;
 mod config;
-pub mod interp;
 mod pipeline;
 mod predictor;
 mod prf;

@@ -176,7 +176,7 @@ const PROGRESS_POLL_MASK: u64 = 0xFFF;
 impl Core {
     /// Creates a core with `program` loaded. If the program declares a
     /// `stack` segment, `SP` is seeded 16 bytes below its end (the same
-    /// convention as [`Interp`](crate::interp::Interp)).
+    /// convention as [`Interp`](crate::arch::Interp)).
     ///
     /// # Panics
     ///

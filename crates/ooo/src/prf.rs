@@ -151,6 +151,14 @@ impl RegFile {
         }
     }
 
+    /// The free list and the Architectural Map Table, for the pipeline's
+    /// register-conservation audit.
+    #[cfg(debug_assertions)]
+    #[must_use]
+    pub fn free_and_committed(&self) -> (&[PhysReg], &[PhysReg; NUM_REGS]) {
+        (&self.free, &self.amt)
+    }
+
     /// The committed value of a logical register (valid between retires).
     #[must_use]
     pub fn committed_value(&self, reg: Reg) -> u64 {

@@ -372,10 +372,11 @@ impl PipelineState {
         self.wakeup[usize::from(phys)] = waiters; // keep the allocation
     }
 
-    /// Per-cycle queue audit, run by [`Core::step`](crate::Core::step)
-    /// after every cycle in debug builds. The ready queue, the occupancy
-    /// counts, the wake-up scoreboard and the store queue are all derived
-    /// state: each must agree with the Active List and the register file,
+    /// Per-cycle audit, run by [`Core::step`](crate::Core::step) after
+    /// every cycle in debug builds. The ready queue, the occupancy counts,
+    /// the wake-up scoreboard, the store queue, the physical-register
+    /// owners and the `ROB_pkru` occupancy are all derived state: each must
+    /// agree with the Active List, the register file and the PKRU engine,
     /// because a drift would not crash — it would silently change timing.
     ///
     /// It runs after every cycle of every debug test, so it walks plain
@@ -388,6 +389,21 @@ impl PipelineState {
         let (seqs, state, srcs, waits, kinds) =
             (&al.seq[..], &al.state[..], &al.srcs[..], &al.waits[..], &al.mem_kind[..]);
         let (mut queued, mut ready, mut loads, mut stores) = (0usize, 0usize, 0usize, 0usize);
+        // Owners of each physical register: free, committed (mapped in
+        // the AMT) and in flight (the new destination of a live entry).
+        let (free, amt) = self.rf.free_and_committed();
+        let mut owners = vec![[0u8; 3]; self.config.prf_size];
+        let mut k = 0;
+        while k < free.len() {
+            owners[usize::from(free[k])][0] += 1;
+            k += 1;
+        }
+        let mut k = 0;
+        while k < amt.len() {
+            owners[usize::from(amt[k])][1] += 1;
+            k += 1;
+        }
+        let mut wrpkrus = 0usize;
         let mut i = 0;
         while i < al.len() {
             let slot = al.slot_of(i);
@@ -397,6 +413,10 @@ impl PipelineState {
                 Some(MemKind::Store) => stores += 1,
                 None => {}
             }
+            if let Some((_, new, _)) = al.dest[slot] {
+                owners[usize::from(new)][2] += 1;
+            }
+            wrpkrus += usize::from(al.pkru_tag[slot].is_some());
             if !matches!(state[slot], AlState::Queued) {
                 continue;
             }
@@ -454,6 +474,21 @@ impl PipelineState {
         );
         assert!(self.lq_len == loads, "cycle {cycle}: LQ occupancy {}, {loads} loads", self.lq_len);
         assert!(sq.len() == stores, "cycle {cycle}: SQ occupancy {}, {stores} stores", sq.len());
+        let mut p = 0;
+        while p < owners.len() {
+            let [f, c, d] = owners[p];
+            assert!(
+                f + c + d == 1,
+                "cycle {cycle}: p{p} is free {f}×, committed {c}×, in flight {d}×"
+            );
+            p += 1;
+        }
+        let capacity = self.config.policy.rob_pkru_capacity(&self.config.specmpk);
+        let inflight = self.engine.inflight();
+        assert!(
+            inflight == wrpkrus && inflight <= capacity,
+            "cycle {cycle}: ROB_pkru holds {inflight} of {capacity}, {wrpkrus} WRPKRUs in flight"
+        );
     }
 
     /// Speculative fault determination, delegated to the policy (SpecMPK

@@ -8,8 +8,8 @@ use rand::{Rng, SeedableRng};
 use specmpk_core::{registry, PolicyRef};
 use specmpk_isa::{AluOp, Assembler, BranchCond, DataSegment, MemWidth, Operand, Program, Reg};
 use specmpk_mpk::{Pkey, Pkru};
-use specmpk_ooo::interp::{Interp, InterpExit};
-use specmpk_ooo::{Core, ExitReason, SimConfig};
+use specmpk_ooo::arch::{ArchExit, Interp};
+use specmpk_ooo::{ArchState, Core, ExitReason, SimConfig};
 
 const DATA_BASE: u64 = 0x8000;
 const SECURE_BASE: u64 = 0x20000;
@@ -156,14 +156,13 @@ fn assert_same_state(
     seed: u64,
     policy: PolicyRef,
     result: &specmpk_ooo::SimResult,
-    reference: &specmpk_ooo::interp::InterpResult,
+    reference: &ArchState,
 ) {
     assert_eq!(result.exit, ExitReason::Halted, "seed {seed} policy {policy}: pipeline exit");
-    assert_eq!(reference.exit, InterpExit::Halted, "seed {seed}: interp exit");
     for r in Reg::all() {
         assert_eq!(
             result.reg(r),
-            reference.reg(r),
+            reference.read_reg(r),
             "seed {seed} policy {policy}: register {r} diverged"
         );
     }
@@ -174,21 +173,21 @@ fn assert_same_state(
 fn random_programs_match_reference_under_all_policies() {
     for seed in 0..25u64 {
         let program = generate(seed);
-        let reference = Interp::new(&program, Pkru::ALL_ACCESS).run(5_000_000);
+        let mut reference = Interp::new(&program, Pkru::ALL_ACCESS);
         assert_eq!(
-            reference.exit,
-            InterpExit::Halted,
+            reference.step_n(5_000_000),
+            Some(ArchExit::Halted),
             "seed {seed}: generator produced a non-halting or faulting program"
         );
         for policy in registry::all() {
             let mut core = Core::new(SimConfig::with_policy(policy), &program);
             let result = core.run();
-            assert_same_state(seed, policy, &result, &reference);
+            assert_same_state(seed, policy, &result, reference.state());
             // Memory must agree on the data region too.
             for probe in (0..4096u64).step_by(8) {
                 assert_eq!(
                     core.mem().read(DATA_BASE + probe, 8),
-                    reference.memory.read(DATA_BASE + probe, 8),
+                    reference.mem().read(DATA_BASE + probe, 8),
                     "seed {seed} policy {policy}: memory diverged at +{probe:#x}"
                 );
             }
@@ -200,12 +199,13 @@ fn random_programs_match_reference_under_all_policies() {
 fn random_programs_match_across_rob_pkru_sizes() {
     for seed in 100..110u64 {
         let program = generate(seed);
-        let reference = Interp::new(&program, Pkru::ALL_ACCESS).run(5_000_000);
+        let mut reference = Interp::new(&program, Pkru::ALL_ACCESS);
+        assert_eq!(reference.step_n(5_000_000), Some(ArchExit::Halted), "seed {seed}: interp exit");
         for size in [1usize, 2, 4, 8] {
             let config = SimConfig::with_policy(PolicyRef::SPEC_MPK).with_rob_pkru_size(size);
             let mut core = Core::new(config, &program);
             let result = core.run();
-            assert_same_state(seed, PolicyRef::SPEC_MPK, &result, &reference);
+            assert_same_state(seed, PolicyRef::SPEC_MPK, &result, reference.state());
         }
     }
 }
@@ -224,8 +224,9 @@ mod proptest_differential {
         #[test]
         fn arbitrary_seeds_match_reference(seed in 1000u64..1_000_000) {
             let program = generate(seed);
-            let reference = Interp::new(&program, Pkru::ALL_ACCESS).run(5_000_000);
-            prop_assume!(reference.exit == InterpExit::Halted);
+            let mut reference = Interp::new(&program, Pkru::ALL_ACCESS);
+            prop_assume!(reference.step_n(5_000_000) == Some(ArchExit::Halted));
+            let reference = reference.state();
             for policy in registry::all() {
                 let mut core = Core::new(SimConfig::with_policy(policy), &program);
                 let result = core.run();
@@ -233,7 +234,7 @@ mod proptest_differential {
                 for r in Reg::all() {
                     prop_assert_eq!(
                         result.reg(r),
-                        reference.reg(r),
+                        reference.read_reg(r),
                         "seed {} policy {} register {}",
                         seed,
                         policy,

@@ -6,7 +6,7 @@
 //! cargo run --release --example cpi_protection
 //! ```
 
-use specmpk::core_model::WrpkruPolicy;
+use specmpk::core_model::{registry, PolicyRef};
 use specmpk::isa::{Assembler, DataSegment, MemWidth, Program, Reg};
 use specmpk::mpk::{Pkey, Pkru};
 use specmpk::ooo::{Core, ExitReason, SimConfig};
@@ -72,7 +72,7 @@ fn main() {
     println!("== Part 1: function-pointer corruption ==\n");
     for protected in [false, true] {
         let program = fp_victim(protected);
-        let mut core = Core::new(SimConfig::with_policy(WrpkruPolicy::SpecMpk), &program);
+        let mut core = Core::new(SimConfig::with_policy(PolicyRef::SPEC_MPK), &program);
         let result = core.run();
         let label = if protected { "with CPI safe region" } else { "unprotected" };
         match result.exit {
@@ -101,7 +101,7 @@ fn main() {
     println!("workload: {}", workload.name());
     println!("{:<22} {:>8} {:>14}", "policy", "IPC", "vs serialized");
     let mut base = None;
-    for policy in WrpkruPolicy::all() {
+    for policy in registry::all() {
         let mut config = SimConfig::with_policy(policy);
         config.max_instructions = 300_000;
         let mut core = Core::new(config, &program);

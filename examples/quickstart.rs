@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use specmpk::core_model::WrpkruPolicy;
+use specmpk::core_model::registry;
 use specmpk::isa::{Assembler, BranchCond, DataSegment, MemWidth, Program, Reg};
 use specmpk::mpk::{Pkey, Pkru};
 use specmpk::ooo::{Core, SimConfig};
@@ -40,7 +40,7 @@ fn main() {
         "policy", "cycles", "IPC", "speedup", "WRPKRU/kinstr"
     );
     let mut baseline = None;
-    for policy in WrpkruPolicy::all() {
+    for policy in registry::all() {
         let mut core = Core::new(SimConfig::with_policy(policy), &program);
         let result = core.run();
         assert_eq!(result.reg(Reg::T1), 1_999, "architectural result must not depend on policy");

@@ -5,7 +5,7 @@
 //! cargo run --release --example rob_pkru_tuning
 //! ```
 
-use specmpk::core_model::{hardware_cost, SpecMpkConfig, WrpkruPolicy};
+use specmpk::core_model::{hardware_cost, PolicyRef, SpecMpkConfig};
 use specmpk::ooo::{Core, SimConfig};
 use specmpk::workloads::standard_suite;
 
@@ -15,11 +15,11 @@ fn main() {
     println!("workload: {} (the WRPKRU-hottest in the suite)\n", workload.name());
 
     let budget = 300_000;
-    let mut config = SimConfig::with_policy(WrpkruPolicy::Serialized);
+    let mut config = SimConfig::with_policy(PolicyRef::SERIALIZED);
     config.max_instructions = budget;
     let serialized = Core::new(config, &program).run().stats.ipc();
 
-    let mut config = SimConfig::with_policy(WrpkruPolicy::NonSecureSpec);
+    let mut config = SimConfig::with_policy(PolicyRef::NONSECURE_SPEC);
     config.max_instructions = budget;
     let ceiling = Core::new(config, &program).run().stats.ipc();
 
@@ -36,7 +36,7 @@ fn main() {
         0
     );
     for size in [1usize, 2, 4, 8, 16, 32] {
-        let mut config = SimConfig::with_policy(WrpkruPolicy::SpecMpk).with_rob_pkru_size(size);
+        let mut config = SimConfig::with_policy(PolicyRef::SPEC_MPK).with_rob_pkru_size(size);
         config.max_instructions = budget;
         let ipc = Core::new(config, &program).run().stats.ipc();
         let cost = hardware_cost(SpecMpkConfig { rob_pkru_size: size, store_queue_size: 72 });

@@ -6,7 +6,7 @@
 //! ```
 
 use specmpk::attacks::{run_attack, spectre_bti, spectre_v1, store_forward_overflow};
-use specmpk::core_model::WrpkruPolicy;
+use specmpk::core_model::registry;
 
 fn main() {
     let attacks = [
@@ -18,7 +18,7 @@ fn main() {
     for (name, attack) in &attacks {
         println!("=== {name} ===");
         println!("secret probe index: {}", attack.secret_index());
-        for policy in WrpkruPolicy::all() {
+        for policy in registry::all() {
             let outcome = run_attack(attack, policy);
             let leaked = outcome.leaked(attack.secret_index());
             println!(

@@ -26,7 +26,7 @@
 //! microarchitectures and compare IPC:
 //!
 //! ```
-//! use specmpk::core_model::WrpkruPolicy;
+//! use specmpk::core_model::registry;
 //! use specmpk::ooo::{Core, SimConfig};
 //! use specmpk::workloads::standard_suite;
 //!
@@ -34,7 +34,7 @@
 //! let program = workload.build_protected();
 //!
 //! let mut results = Vec::new();
-//! for policy in WrpkruPolicy::all() {
+//! for policy in registry::all() {
 //!     let mut config = SimConfig::with_policy(policy);
 //!     config.max_instructions = 20_000; // keep the doctest fast
 //!     let mut core = Core::new(config, &program);

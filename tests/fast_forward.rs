@@ -8,14 +8,22 @@
 use specmpk::core_model::registry;
 use specmpk::isa::{Program, Reg};
 use specmpk::mpk::Pkru;
-use specmpk::ooo::interp::{Interp, InterpExit};
-use specmpk::ooo::{Checkpoint, Core, ExitReason, FastForward, SimConfig};
+use specmpk::ooo::arch::{ArchExit, Interp};
+use specmpk::ooo::{ArchState, Checkpoint, Core, ExitReason, FastForward, SimConfig};
 use specmpk::workloads::{standard_suite, Workload};
 
 fn short(workload: &Workload, iterations: u32) -> Workload {
     let mut profile = workload.profile;
     profile.driver_iterations = iterations;
     Workload::from_profile(profile)
+}
+
+/// Runs the reference interpreter until `program` halts: the final state
+/// and the instruction count.
+fn interpret(program: &Program) -> (ArchState, u64) {
+    let mut machine = Interp::new(program, Pkru::ALL_ACCESS);
+    assert_eq!(machine.step_n(20_000_000), Some(ArchExit::Halted), "reference run must halt");
+    (machine.state().clone(), machine.executed())
 }
 
 /// Fast-forward exactly `k` instructions (the program must not end first)
@@ -53,11 +61,10 @@ mod fast_forward_equivalence {
         ) {
             let w = short(&standard_suite()[LIGHT[pick]], iterations);
             let program = w.build_protected();
-            let reference = Interp::new(&program, Pkru::ALL_ACCESS).run(20_000_000);
-            prop_assert_eq!(&reference.exit, &InterpExit::Halted);
+            let (reference, executed) = interpret(&program);
             // A split point strictly inside the program, anywhere from its
             // first instruction to its last.
-            let k = (reference.executed * split_pct / 100).clamp(1, reference.executed - 1);
+            let k = (executed * split_pct / 100).clamp(1, executed - 1);
             // One checkpoint serves every policy: warmup is functional, so
             // the captured state is policy-independent.
             let cp = checkpoint_at(&program, k);
@@ -74,7 +81,7 @@ mod fast_forward_equivalence {
                     full.stats.retired,
                     "{} at split {}: instruction totals diverged", policy, k
                 );
-                prop_assert_eq!(full.stats.retired, reference.executed, "{}", policy);
+                prop_assert_eq!(full.stats.retired, executed, "{}", policy);
                 prop_assert_eq!(resumed.pkru(), full.pkru(), "{} at split {}", policy, k);
                 prop_assert_eq!(resumed.pkru(), reference.pkru, "{}", policy);
                 for reg in Reg::all() {
@@ -82,7 +89,9 @@ mod fast_forward_equivalence {
                         resumed.reg(reg), full.reg(reg),
                         "{} at split {}: register {} diverged", policy, k, reg
                     );
-                    prop_assert_eq!(resumed.reg(reg), reference.reg(reg), "{}: {}", policy, reg);
+                    prop_assert_eq!(
+                        resumed.reg(reg), reference.read_reg(reg), "{}: {}", policy, reg
+                    );
                 }
             }
         }
@@ -96,9 +105,8 @@ mod fast_forward_equivalence {
 fn checkpoint_bytes_are_run_and_jobs_invariant() {
     let w = short(&standard_suite()[0], 20);
     let program = w.build_protected();
-    let reference = Interp::new(&program, Pkru::ALL_ACCESS).run(20_000_000);
-    assert_eq!(reference.exit, InterpExit::Halted);
-    let k = reference.executed / 3;
+    let (_, executed) = interpret(&program);
+    let k = executed / 3;
 
     let golden = checkpoint_at(&program, k).to_json().dump();
     assert_eq!(checkpoint_at(&program, k).to_json().dump(), golden, "repeat capture diverged");
@@ -134,9 +142,8 @@ fn checkpoint_bytes_are_run_and_jobs_invariant() {
 fn resumed_fast_forward_reaches_the_same_state() {
     let w = short(&standard_suite()[1], 15);
     let program = w.build_protected();
-    let reference = Interp::new(&program, Pkru::ALL_ACCESS).run(20_000_000);
-    assert_eq!(reference.exit, InterpExit::Halted);
-    let (k1, k2) = (reference.executed / 4, reference.executed / 4);
+    let (_, executed) = interpret(&program);
+    let (k1, k2) = (executed / 4, executed / 4);
 
     let base = checkpoint_at(&program, k1);
     let mut resumed = base.resume_fast_forward(&program);
@@ -165,7 +172,7 @@ fn corrupted_checkpoints_are_refused_without_panicking() {
 
     let w = short(&standard_suite()[0], 20);
     let program = w.build_protected();
-    let executed = Interp::new(&program, Pkru::ALL_ACCESS).run(20_000_000).executed;
+    let (_, executed) = interpret(&program);
     let golden = checkpoint_at(&program, executed / 3).to_json().dump();
     assert_eq!(restore_outcome("golden", &golden), Ok(()));
     let bytes = golden.as_bytes();

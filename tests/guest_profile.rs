@@ -4,7 +4,7 @@
 //! the WRPKRU site-table accounting identities against the aggregate
 //! stats, and byte determinism across runs and worker counts.
 
-use specmpk::core_model::WrpkruPolicy;
+use specmpk::core_model::{registry, PolicyRef};
 use specmpk::isa::{Assembler, Program};
 use specmpk::ooo::{Core, SimConfig, SimStats};
 use specmpk::trace::Json;
@@ -21,7 +21,7 @@ fn wrpkru_program() -> Program {
 }
 
 /// Runs the WRPKRU-dense suite workload with guest profiling on.
-fn profiled_run(policy: WrpkruPolicy, max_instructions: u64) -> SimStats {
+fn profiled_run(policy: PolicyRef, max_instructions: u64) -> SimStats {
     let workload = &standard_suite()[0];
     let program = workload.build_protected();
     let mut config = SimConfig::with_policy(policy);
@@ -35,7 +35,7 @@ fn profiled_run(policy: WrpkruPolicy, max_instructions: u64) -> SimStats {
 #[test]
 fn guest_profile_absent_without_profiling() {
     let program = wrpkru_program();
-    let mut core = Core::new(SimConfig::with_policy(WrpkruPolicy::SpecMpk), &program);
+    let mut core = Core::new(SimConfig::with_policy(PolicyRef::SPEC_MPK), &program);
     let stats = core.run().stats;
     assert!(
         stats.to_json().get("guest_profile").is_none(),
@@ -46,7 +46,7 @@ fn guest_profile_absent_without_profiling() {
 #[test]
 fn guest_profile_golden_json() {
     let program = wrpkru_program();
-    let mut core = Core::new(SimConfig::with_policy(WrpkruPolicy::SpecMpk), &program);
+    let mut core = Core::new(SimConfig::with_policy(PolicyRef::SPEC_MPK), &program);
     core.set_guest_profiling(true);
     let stats = core.run().stats;
     let json = stats.to_json();
@@ -128,7 +128,7 @@ fn guest_profile_golden_json() {
 
 #[test]
 fn every_cycle_is_charged_to_a_pc() {
-    for policy in WrpkruPolicy::all() {
+    for policy in registry::all() {
         let stats = profiled_run(policy, 3_000);
         assert_eq!(
             stats.guest.charged_cycles(),
@@ -151,7 +151,7 @@ fn every_cycle_is_charged_to_a_pc() {
 
 #[test]
 fn site_table_sums_match_aggregate_stats() {
-    let stats = profiled_run(WrpkruPolicy::SpecMpk, 5_000);
+    let stats = profiled_run(PolicyRef::SPEC_MPK, 5_000);
     let json = stats.guest.to_json(&SimStats::stall_names());
     let sites = json.get("wrpkru_sites").and_then(Json::as_arr).expect("wrpkru_sites");
     assert!(!sites.is_empty(), "WRPKRU-dense workload populates the site table");
@@ -173,8 +173,8 @@ fn site_table_sums_match_aggregate_stats() {
 #[test]
 fn guest_profile_bytes_are_deterministic_across_runs() {
     let dump = |s: &SimStats| s.guest.to_json(&SimStats::stall_names()).dump();
-    let a = profiled_run(WrpkruPolicy::SpecMpk, 3_000);
-    let b = profiled_run(WrpkruPolicy::SpecMpk, 3_000);
+    let a = profiled_run(PolicyRef::SPEC_MPK, 3_000);
+    let b = profiled_run(PolicyRef::SPEC_MPK, 3_000);
     assert_eq!(dump(&a), dump(&b), "same seed, same config ⇒ identical profile bytes");
 }
 
@@ -183,8 +183,8 @@ fn guest_profile_bytes_are_worker_count_invariant() {
     // The experiment bins fan cells out over SPECMPK_JOBS workers; the
     // recorded guest profiles must not depend on the worker count.
     let run_all = |jobs: usize| -> Vec<String> {
-        let cells: Vec<(String, WrpkruPolicy)> =
-            WrpkruPolicy::all().iter().map(|&p| (format!("{p:?}"), p)).collect();
+        let cells: Vec<(String, PolicyRef)> =
+            registry::all().iter().map(|&p| (format!("{p:?}"), p)).collect();
         par_map_labeled_with_jobs(jobs, cells, |policy| {
             let stats = profiled_run(policy, 2_000);
             stats.guest.to_json(&SimStats::stall_names()).dump()

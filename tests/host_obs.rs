@@ -4,7 +4,7 @@
 //! micro-event journal's JSONL schema, and cross-run determinism of the
 //! journal bytes.
 
-use specmpk::core_model::WrpkruPolicy;
+use specmpk::core_model::PolicyRef;
 use specmpk::isa::{Assembler, Program};
 use specmpk::ooo::{Core, SimConfig};
 use specmpk::trace::{Journal, Json};
@@ -37,7 +37,7 @@ fn mask_ns(profile: &Json) -> Json {
 #[test]
 fn host_profile_absent_without_profiling() {
     let program = wrpkru_program();
-    let mut core = Core::new(SimConfig::with_policy(WrpkruPolicy::SpecMpk), &program);
+    let mut core = Core::new(SimConfig::with_policy(PolicyRef::SPEC_MPK), &program);
     let stats = core.run().stats;
     assert!(
         stats.to_json().get("host_profile").is_none(),
@@ -48,7 +48,7 @@ fn host_profile_absent_without_profiling() {
 #[test]
 fn host_profile_golden_shape() {
     let program = wrpkru_program();
-    let mut core = Core::new(SimConfig::with_policy(WrpkruPolicy::SpecMpk), &program);
+    let mut core = Core::new(SimConfig::with_policy(PolicyRef::SPEC_MPK), &program);
     core.set_profiling(true);
     let stats = core.run().stats;
     let json = stats.to_json();
@@ -122,11 +122,8 @@ fn host_profile_golden_shape() {
 #[test]
 fn journal_jsonl_schema_golden() {
     let program = wrpkru_program();
-    let mut core = Core::with_sink(
-        SimConfig::with_policy(WrpkruPolicy::SpecMpk),
-        &program,
-        Journal::default(),
-    );
+    let mut core =
+        Core::with_sink(SimConfig::with_policy(PolicyRef::SPEC_MPK), &program, Journal::default());
     core.run();
     let jsonl = core.into_sink().to_jsonl();
     // This pins the journal's exact line format: compact single-line
@@ -142,7 +139,7 @@ fn journal_jsonl_schema_golden() {
 fn journal_lines_parse_and_events_are_known() {
     let workload = &standard_suite()[0];
     let program = workload.build_protected();
-    let mut config = SimConfig::with_policy(WrpkruPolicy::SpecMpk);
+    let mut config = SimConfig::with_policy(PolicyRef::SPEC_MPK);
     config.max_instructions = 3_000;
     let mut core = Core::with_sink(config, &program, Journal::default());
     core.run();
@@ -181,7 +178,7 @@ fn journal_bytes_are_deterministic_across_runs() {
     let run = || {
         let workload = &standard_suite()[0];
         let program = workload.build_protected();
-        let mut config = SimConfig::with_policy(WrpkruPolicy::SpecMpk);
+        let mut config = SimConfig::with_policy(PolicyRef::SPEC_MPK);
         config.max_instructions = 3_000;
         let mut core = Core::with_sink(config, &program, Journal::default());
         core.run();

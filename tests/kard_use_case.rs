@@ -6,7 +6,7 @@
 //! [`FaultMode::TrapAndContinue`] and checks that every policy traps
 //! exactly the same accesses, in order.
 
-use specmpk::core_model::WrpkruPolicy;
+use specmpk::core_model::registry;
 use specmpk::isa::{Assembler, BranchCond, DataSegment, MemWidth, Program, Reg};
 use specmpk::mpk::{Pkey, Pkru};
 use specmpk::ooo::{Core, ExitReason, FaultMode, SimConfig};
@@ -41,7 +41,7 @@ fn kard_program(accesses: i64) -> Program {
 fn kard_traps_every_shared_access_under_all_policies() {
     let accesses = 25;
     let program = kard_program(accesses);
-    for policy in WrpkruPolicy::all() {
+    for policy in registry::all() {
         let mut config = SimConfig::with_policy(policy);
         config.fault_mode = FaultMode::TrapAndContinue;
         let mut core = Core::new(config, &program);
@@ -76,7 +76,7 @@ fn kard_lock_acquisition_stops_traps() {
     let mut p = Program::new(asm.base(), asm.assemble().unwrap());
     p.add_segment(DataSegment::zeroed("shared_object", 0x8000, 4096, shared_key));
 
-    for policy in WrpkruPolicy::all() {
+    for policy in registry::all() {
         let mut config = SimConfig::with_policy(policy);
         config.fault_mode = FaultMode::TrapAndContinue;
         let mut core = Core::new(config, &p);

@@ -3,7 +3,7 @@
 //! stats dump round-trips through the crate's own parser and matches
 //! `SimStats` field-for-field (all 9 rename-stall causes included).
 
-use specmpk::core_model::WrpkruPolicy;
+use specmpk::core_model::PolicyRef;
 use specmpk::isa::{Assembler, Program, Reg};
 use specmpk::ooo::{Core, RenameStall, SimConfig, SimStats};
 use specmpk::trace::{Json, PipeTracer};
@@ -11,7 +11,7 @@ use specmpk::workloads::standard_suite;
 
 /// Runs the suite's first workload (fixed profile seed) under `policy`
 /// with a tracer attached, returning the rendered trace and the stats.
-fn traced_run(policy: WrpkruPolicy, max_instructions: u64) -> (String, SimStats) {
+fn traced_run(policy: PolicyRef, max_instructions: u64) -> (String, SimStats) {
     let workload = &standard_suite()[0];
     let program = workload.build_protected();
     let mut config = SimConfig::with_policy(policy);
@@ -23,8 +23,8 @@ fn traced_run(policy: WrpkruPolicy, max_instructions: u64) -> (String, SimStats)
 
 #[test]
 fn konata_trace_is_byte_stable() {
-    let (a, stats_a) = traced_run(WrpkruPolicy::SpecMpk, 3_000);
-    let (b, stats_b) = traced_run(WrpkruPolicy::SpecMpk, 3_000);
+    let (a, stats_a) = traced_run(PolicyRef::SPEC_MPK, 3_000);
+    let (b, stats_b) = traced_run(PolicyRef::SPEC_MPK, 3_000);
     assert!(!a.is_empty());
     assert_eq!(a, b, "same seed, same config ⇒ identical trace bytes");
     assert_eq!(stats_a.cycles, stats_b.cycles);
@@ -71,7 +71,7 @@ O3PipeView:retire:7:store:0
 fn stats_json_round_trips_field_for_field() {
     let workload = &standard_suite()[0];
     let program = workload.build_protected();
-    let mut config = SimConfig::with_policy(WrpkruPolicy::SpecMpk);
+    let mut config = SimConfig::with_policy(PolicyRef::SPEC_MPK);
     config.max_instructions = 20_000;
     let mut core = Core::new(config, &program);
     core.set_sample_interval(1_000);

@@ -5,7 +5,7 @@
 use specmpk::attacks::{
     all_attacks, run_attack, run_attack_observed, spectre_bti, spectre_v1, store_forward_overflow,
 };
-use specmpk::core_model::WrpkruPolicy;
+use specmpk::core_model::{registry, PolicyRef};
 use specmpk::isa::{Assembler, DataSegment, MemWidth, Program, Reg};
 use specmpk::mpk::{AccessKind, Pkey, Pkru};
 use specmpk::ooo::{Core, ExitReason, SimConfig};
@@ -33,7 +33,7 @@ fn fig12a_memory_corruption_blocked() {
         asm.store(Reg::T1, Reg::T0, 0, MemWidth::D); // gets(buf) overflow
         asm.halt();
     });
-    for policy in WrpkruPolicy::all() {
+    for policy in registry::all() {
         let mut core = Core::new(SimConfig::with_policy(policy), &program);
         let result = core.run();
         match result.exit {
@@ -60,7 +60,7 @@ fn fig12b_buffer_overread_blocked() {
         asm.load(Reg::T1, Reg::T0, 0, MemWidth::D); // overread
         asm.halt();
     });
-    for policy in WrpkruPolicy::all() {
+    for policy in registry::all() {
         let mut core = Core::new(SimConfig::with_policy(policy), &program);
         let result = core.run();
         match result.exit {
@@ -78,9 +78,9 @@ fn fig12b_buffer_overread_blocked() {
 #[test]
 fn fig12c_control_steering_mitigation_matrix() {
     let attack = spectre_v1(101, 72);
-    for policy in WrpkruPolicy::all() {
+    for policy in registry::all() {
         let outcome = run_attack(&attack, policy);
-        let expect = policy == WrpkruPolicy::NonSecureSpec;
+        let expect = policy == PolicyRef::NONSECURE_SPEC;
         assert_eq!(outcome.leaked(101), expect, "{policy}");
     }
 }
@@ -89,9 +89,9 @@ fn fig12c_control_steering_mitigation_matrix() {
 #[test]
 fn fig12d_bti_mitigation_matrix() {
     let attack = spectre_bti(101, 72);
-    for policy in WrpkruPolicy::all() {
+    for policy in registry::all() {
         let outcome = run_attack(&attack, policy);
-        let expect = policy == WrpkruPolicy::NonSecureSpec;
+        let expect = policy == PolicyRef::NONSECURE_SPEC;
         assert_eq!(outcome.leaked(101), expect, "{policy}");
     }
 }
@@ -101,9 +101,9 @@ fn fig12d_bti_mitigation_matrix() {
 #[test]
 fn store_forward_overflow_mitigation_matrix() {
     let attack = store_forward_overflow(17);
-    for policy in WrpkruPolicy::all() {
+    for policy in registry::all() {
         let outcome = run_attack(&attack, policy);
-        let expect = policy == WrpkruPolicy::NonSecureSpec;
+        let expect = policy == PolicyRef::NONSECURE_SPEC;
         assert_eq!(outcome.leaked(attack.secret_index()), expect, "{policy}");
     }
 }
@@ -117,7 +117,7 @@ fn store_forward_overflow_mitigation_matrix() {
 #[test]
 fn spectre_v1_nonsecure_witness_chain_golden() {
     let attack = spectre_v1(101, 72);
-    let (outcome, ledger) = run_attack_observed(&attack, WrpkruPolicy::NonSecureSpec);
+    let (outcome, ledger) = run_attack_observed(&attack, PolicyRef::NONSECURE_SPEC);
     assert!(outcome.leaked(101), "the observed run still leaks");
     let chain = ledger
         .witness_chain(attack.secret_pkey().index() as u8)
@@ -144,7 +144,7 @@ fn spectre_v1_nonsecure_witness_chain_golden() {
 #[test]
 fn secure_policies_leave_no_witness_chain() {
     for attack in all_attacks() {
-        for policy in [WrpkruPolicy::Serialized, WrpkruPolicy::SpecMpk] {
+        for policy in [PolicyRef::SERIALIZED, PolicyRef::SPEC_MPK] {
             let (_, ledger) = run_attack_observed(&attack, policy);
             assert!(
                 ledger.witness_chain(attack.secret_pkey().index() as u8).is_none(),
@@ -162,7 +162,7 @@ fn secure_policies_leave_no_witness_chain() {
 fn attacks_are_architecturally_invisible() {
     let attack = spectre_v1(200, 72);
     let mut finals = Vec::new();
-    for policy in WrpkruPolicy::all() {
+    for policy in registry::all() {
         let mut core = Core::new(SimConfig::with_policy(policy), attack.program());
         let result = core.run();
         assert_eq!(result.exit, ExitReason::Halted, "{policy}");

@@ -4,11 +4,16 @@
 //! ROB_pkru size — and on the in-order reference interpreter.
 
 use specmpk::core_model::{registry, PolicyRef};
-use specmpk::isa::Reg;
+use specmpk::isa::{Program, Reg};
 use specmpk::mpk::Pkru;
-use specmpk::ooo::interp::{Interp, InterpExit};
-use specmpk::ooo::{Checkpoint, Core, ExitReason, FastForward, SimConfig};
+use specmpk::ooo::arch::{ArchExit, Interp};
+use specmpk::ooo::{ArchState, Checkpoint, Core, ExitReason, FastForward, SimConfig};
 use specmpk::workloads::{standard_suite, Protection, Workload};
+
+/// Suite indices whose drivers stay small at the property tests' iteration
+/// counts (the long-running profiles — gcc, blender, x264, both mcf's —
+/// would dominate wall clock without adding coverage).
+const LIGHT: [usize; 10] = [0, 1, 3, 4, 6, 8, 10, 11, 12, 13];
 
 fn short(workload: &Workload, iterations: u32) -> Workload {
     let mut profile = workload.profile;
@@ -16,15 +21,17 @@ fn short(workload: &Workload, iterations: u32) -> Workload {
     Workload::from_profile(profile)
 }
 
+/// Runs the reference interpreter until `program` halts: the final state
+/// and the instruction count.
+fn interpret(program: &Program) -> (ArchState, u64) {
+    let mut machine = Interp::new(program, Pkru::ALL_ACCESS);
+    assert_eq!(machine.step_n(20_000_000), Some(ArchExit::Halted), "reference run must halt");
+    (machine.state().clone(), machine.executed())
+}
+
 fn check_workload(workload: &Workload, protection: Protection) {
     let program = workload.build(protection);
-    let reference = Interp::new(&program, Pkru::ALL_ACCESS).run(20_000_000);
-    assert_eq!(
-        reference.exit,
-        InterpExit::Halted,
-        "{}: reference run must halt cleanly",
-        workload.name()
-    );
+    let (reference, executed) = interpret(&program);
     for policy in registry::all() {
         let mut core = Core::new(SimConfig::with_policy(policy), &program);
         let result = core.run();
@@ -32,7 +39,7 @@ fn check_workload(workload: &Workload, protection: Protection) {
         for reg in Reg::all() {
             assert_eq!(
                 result.reg(reg),
-                reference.reg(reg),
+                reference.read_reg(reg),
                 "{} under {policy}: register {reg} diverged",
                 workload.name()
             );
@@ -40,7 +47,7 @@ fn check_workload(workload: &Workload, protection: Protection) {
         assert_eq!(result.pkru(), reference.pkru, "{} under {policy}", workload.name());
         assert_eq!(
             result.stats.retired,
-            reference.executed,
+            executed,
             "{} under {policy}: instruction counts diverged",
             workload.name()
         );
@@ -75,13 +82,11 @@ fn unprotected_and_nop_variants_match_each_other() {
     let w = short(&standard_suite()[1], 30);
     let protected = w.build_protected();
     let nop = w.build_nop_wrpkru();
-    let a = Interp::new(&protected, Pkru::ALL_ACCESS).run(10_000_000);
-    let b = Interp::new(&nop, Pkru::ALL_ACCESS).run(10_000_000);
-    assert_eq!(a.exit, InterpExit::Halted);
-    assert_eq!(b.exit, InterpExit::Halted);
+    let (a, _) = interpret(&protected);
+    let (b, _) = interpret(&nop);
     // Same data results (PKRU differs by construction: NOP never updates it).
     for reg in [Reg::S0, Reg::S1, Reg::S2, Reg::A0, Reg::A1, Reg::A2] {
-        assert_eq!(a.reg(reg), b.reg(reg), "{reg}");
+        assert_eq!(a.read_reg(reg), b.read_reg(reg), "{reg}");
     }
 }
 
@@ -89,14 +94,14 @@ fn unprotected_and_nop_variants_match_each_other() {
 fn rob_pkru_sizes_do_not_change_results() {
     let w = short(&standard_suite()[0], 40);
     let program = w.build_protected();
-    let reference = Interp::new(&program, Pkru::ALL_ACCESS).run(20_000_000);
+    let (reference, _) = interpret(&program);
     for size in [1usize, 2, 4, 8] {
         let config = SimConfig::with_policy(PolicyRef::SPEC_MPK).with_rob_pkru_size(size);
         let mut core = Core::new(config, &program);
         let result = core.run();
         assert_eq!(result.exit, ExitReason::Halted, "size {size}");
         for reg in Reg::all() {
-            assert_eq!(result.reg(reg), reference.reg(reg), "size {size}, register {reg}");
+            assert_eq!(result.reg(reg), reference.read_reg(reg), "size {size}, register {reg}");
         }
     }
 }
@@ -220,69 +225,6 @@ mod policy_goldens {
     }
 }
 
-/// Property-based differential: random short programs (random workload,
-/// driver length, and PKRU-update style), run under every *registered*
-/// policy, must produce the same `SimResult` observables as the legacy
-/// `WrpkruPolicy` enum construction path — the pre-refactor API every
-/// golden artifact was generated through — and the same architectural
-/// state as the reference interpreter.
-mod policy_dispatch_property {
-    use super::*;
-    use proptest::prelude::*;
-    use specmpk::core_model::WrpkruPolicy;
-    use specmpk::workloads::PkruUpdateStyle;
-
-    /// Suite indices whose drivers stay small at these iteration counts
-    /// (the long-running profiles — gcc, blender, x264, both mcf's —
-    /// would dominate wall clock without adding dispatch coverage).
-    const LIGHT: [usize; 10] = [0, 1, 3, 4, 6, 8, 10, 11, 12, 13];
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 6 })]
-
-        #[test]
-        fn registry_dispatch_matches_enum_path(
-            pick in 0usize..10,
-            iterations in 5u32..15,
-            rmw in 0u8..2,
-        ) {
-            let workload = LIGHT[pick];
-            let style = if rmw == 1 {
-                PkruUpdateStyle::ReadModifyWrite
-            } else {
-                PkruUpdateStyle::LoadImmediate
-            };
-            let w = short(&standard_suite()[workload], iterations);
-            let program = w.build_with_style(w.scheme.protection(), style);
-            let reference = Interp::new(&program, Pkru::ALL_ACCESS).run(20_000_000);
-            prop_assert_eq!(&reference.exit, &InterpExit::Halted);
-            for (policy, legacy) in registry::all().into_iter().zip(WrpkruPolicy::all()) {
-                prop_assert_eq!(PolicyRef::from(legacy), policy, "registry order");
-                let mut via_trait = Core::new(SimConfig::with_policy(policy), &program);
-                let via_trait = via_trait.run();
-                let mut via_enum = Core::new(SimConfig::with_policy(legacy), &program);
-                let via_enum = via_enum.run();
-                prop_assert_eq!(&via_trait.exit, &ExitReason::Halted, "{}", policy);
-                prop_assert_eq!(&via_trait.exit, &via_enum.exit, "{}", policy);
-                prop_assert_eq!(
-                    via_trait.stats.cycles, via_enum.stats.cycles,
-                    "{}: cycle counts diverged between dispatch paths", policy
-                );
-                prop_assert_eq!(
-                    via_trait.stats.retired, via_enum.stats.retired,
-                    "{}: retired counts diverged between dispatch paths", policy
-                );
-                prop_assert_eq!(via_trait.pkru(), via_enum.pkru(), "{}", policy);
-                for reg in Reg::all() {
-                    prop_assert_eq!(via_trait.reg(reg), via_enum.reg(reg), "{}: {}", policy, reg);
-                    prop_assert_eq!(via_trait.reg(reg), reference.reg(reg), "{}: {}", policy, reg);
-                }
-                prop_assert_eq!(via_trait.pkru(), reference.pkru, "{}", policy);
-            }
-        }
-    }
-}
-
 /// Differential coverage for the data-oriented fast paths (DESIGN.md §13):
 /// the idle-cycle bulk advance and the fused rename+issue path are pure
 /// host-side shortcuts, so a core with both knobs off must produce *the
@@ -300,10 +242,6 @@ mod fast_path_equivalence {
         config
     }
 
-    /// Suite indices with short drivers (same rationale as the dispatch
-    /// property above).
-    const LIGHT: [usize; 10] = [0, 1, 3, 4, 6, 8, 10, 11, 12, 13];
-
     proptest! {
         #![proptest_config(ProptestConfig { cases: 6 })]
 
@@ -320,8 +258,7 @@ mod fast_path_equivalence {
             };
             let w = short(&standard_suite()[LIGHT[pick]], iterations);
             let program = w.build_with_style(w.scheme.protection(), style);
-            let reference = Interp::new(&program, Pkru::ALL_ACCESS).run(20_000_000);
-            prop_assert_eq!(&reference.exit, &InterpExit::Halted);
+            let (reference, _) = interpret(&program);
             for policy in registry::all() {
                 let mut fast = Core::new(SimConfig::with_policy(policy), &program);
                 let fast = fast.run();
@@ -341,7 +278,7 @@ mod fast_path_equivalence {
                 prop_assert_eq!(fast.pkru(), reference.pkru, "{}", policy);
                 for reg in Reg::all() {
                     prop_assert_eq!(fast.reg(reg), slow.reg(reg), "{}: {}", policy, reg);
-                    prop_assert_eq!(fast.reg(reg), reference.reg(reg), "{}: {}", policy, reg);
+                    prop_assert_eq!(fast.reg(reg), reference.read_reg(reg), "{}: {}", policy, reg);
                 }
                 // The slow core took every cycle the long way.
                 prop_assert_eq!(slow.stats.idle_cycles_skipped, 0, "{}", policy);
@@ -486,10 +423,6 @@ mod issue_rules_property {
         Ok(())
     }
 
-    /// Suite indices with short drivers (same rationale as the dispatch
-    /// property above).
-    const LIGHT: [usize; 10] = [0, 1, 3, 4, 6, 8, 10, 11, 12, 13];
-
     proptest! {
         #![proptest_config(ProptestConfig { cases: 6 })]
 
@@ -524,22 +457,21 @@ fn read_modify_write_style_matches_reference_too() {
     use specmpk::workloads::PkruUpdateStyle;
     let w = short(&standard_suite()[0], 30);
     let program = w.build_with_style(Protection::ShadowStack, PkruUpdateStyle::ReadModifyWrite);
-    let reference = Interp::new(&program, Pkru::ALL_ACCESS).run(20_000_000);
-    assert_eq!(reference.exit, InterpExit::Halted);
+    let (reference, _) = interpret(&program);
     for policy in registry::all() {
         let mut core = Core::new(SimConfig::with_policy(policy), &program);
         let result = core.run();
         assert_eq!(result.exit, ExitReason::Halted, "{policy}");
         for reg in Reg::all() {
-            assert_eq!(result.reg(reg), reference.reg(reg), "{policy}: {reg}");
+            assert_eq!(result.reg(reg), reference.read_reg(reg), "{policy}: {reg}");
         }
         assert_eq!(result.pkru(), reference.pkru, "{policy}");
     }
     // And the two styles agree with each other architecturally.
     let li = w.build_with_style(Protection::ShadowStack, PkruUpdateStyle::LoadImmediate);
-    let li_ref = Interp::new(&li, Pkru::ALL_ACCESS).run(20_000_000);
+    let (li_ref, _) = interpret(&li);
     for reg in [Reg::S0, Reg::S1, Reg::S2, Reg::A0, Reg::A1, Reg::A2] {
-        assert_eq!(li_ref.reg(reg), reference.reg(reg), "{reg}");
+        assert_eq!(li_ref.read_reg(reg), reference.read_reg(reg), "{reg}");
     }
     assert_eq!(li_ref.pkru, reference.pkru);
 }
