@@ -37,6 +37,7 @@ impl AluOp {
     /// These semantics are shared by the functional reference model and the
     /// out-of-order core's execute stage, so they can never diverge.
     #[must_use]
+    #[inline]
     pub fn eval(self, a: u64, b: u64) -> u64 {
         match self {
             AluOp::Add => a.wrapping_add(b),
@@ -111,6 +112,7 @@ pub enum BranchCond {
 impl BranchCond {
     /// Evaluates the condition on the two source values.
     #[must_use]
+    #[inline]
     pub fn eval(self, a: u64, b: u64) -> bool {
         match self {
             BranchCond::Eq => a == b,
@@ -166,6 +168,7 @@ pub enum MemWidth {
 impl MemWidth {
     /// The access size in bytes.
     #[must_use]
+    #[inline]
     pub fn bytes(self) -> u64 {
         match self {
             MemWidth::B => 1,
@@ -177,6 +180,7 @@ impl MemWidth {
 
     /// Truncates `value` to this width (loads zero-extend).
     #[must_use]
+    #[inline]
     pub fn truncate(self, value: u64) -> u64 {
         match self {
             MemWidth::B => value & 0xFF,

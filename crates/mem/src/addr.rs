@@ -8,24 +8,28 @@ pub const LINE_BYTES: u64 = 64;
 
 /// The virtual page number of `addr`.
 #[must_use]
+#[inline]
 pub fn vpn(addr: u64) -> u64 {
     addr / PAGE_BYTES
 }
 
 /// The base address of the page containing `addr`.
 #[must_use]
+#[inline]
 pub fn page_base(addr: u64) -> u64 {
     addr & !(PAGE_BYTES - 1)
 }
 
 /// The offset of `addr` within its page.
 #[must_use]
+#[inline]
 pub fn page_offset(addr: u64) -> u64 {
     addr & (PAGE_BYTES - 1)
 }
 
 /// The base address of the cache line containing `addr`.
 #[must_use]
+#[inline]
 pub fn line_base(addr: u64) -> u64 {
     addr & !(LINE_BYTES - 1)
 }

@@ -1,5 +1,6 @@
 //! A single set-associative, true-LRU cache level.
 
+use crate::ways::Ways;
 use crate::LINE_BYTES;
 
 /// Geometry and timing of one cache level.
@@ -20,7 +21,9 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the capacity is not an exact multiple of `ways * 64 B`.
+    /// Panics if the capacity is not an exact multiple of `ways * 64 B`,
+    /// or if the resulting set count is not a power of two (the set index
+    /// is a mask of the line address).
     #[must_use]
     pub fn num_sets(&self) -> usize {
         let lines = self.size_bytes / LINE_BYTES;
@@ -31,7 +34,9 @@ impl CacheConfig {
             lines,
             self.ways
         );
-        (lines / self.ways as u64) as usize
+        let sets = lines / self.ways as u64;
+        assert!(sets.is_power_of_two(), "{}: {sets} sets is not a power of two", self.name);
+        sets as usize
     }
 }
 
@@ -77,23 +82,13 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    lru: u64,
-}
-
 /// One physically indexed cache level.
 ///
 /// Tags are full line addresses; data is not stored (the functional value
 /// lives in [`SparseMemory`](crate::SparseMemory)) — only presence and
 /// replacement state, which is all the timing and side-channel models need.
-///
-/// Storage is one flat set-major array (`lines[set * ways + way]`) with an
-/// integer-timestamp LRU per line: a single allocation whose sets are
-/// contiguous 1–16-way runs, so the per-access tag scan walks one short
-/// cache-resident slice instead of chasing a `Vec<Vec<_>>` indirection.
+/// The set of a line is its low bits, and each set keeps true-LRU integer
+/// timestamps.
 ///
 /// # Examples
 ///
@@ -111,107 +106,99 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    num_sets: usize,
-    /// Set-major: the ways of set `s` are `lines[s * ways .. (s+1) * ways]`.
-    lines: Vec<Line>,
+    ways: Ways,
     clock: u64,
     stats: CacheStats,
 }
 
 impl Cache {
     /// Creates an empty cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry is invalid (see [`CacheConfig::num_sets`]).
     #[must_use]
     pub fn new(config: CacheConfig) -> Self {
-        let num_sets = config.num_sets();
-        let lines = vec![Line { tag: 0, valid: false, lru: 0 }; num_sets * config.ways];
-        Cache { config, num_sets, lines, clock: 0, stats: CacheStats::default() }
+        let ways = Ways::new(config.num_sets(), config.ways);
+        Cache { config, ways, clock: 0, stats: CacheStats::default() }
     }
 
     /// This level's configuration.
     #[must_use]
+    #[inline]
     pub fn config(&self) -> CacheConfig {
         self.config
     }
 
-    fn line_addr(addr: u64) -> u64 {
+    /// The line address of `addr` (the tag).
+    #[inline]
+    pub(crate) fn line_addr(addr: u64) -> u64 {
         addr / LINE_BYTES
-    }
-
-    /// The contiguous slice of ways for the set `line` maps to.
-    #[inline]
-    fn set(&self, line: u64) -> &[Line] {
-        let idx = (line % self.num_sets as u64) as usize * self.config.ways;
-        &self.lines[idx..idx + self.config.ways]
-    }
-
-    /// Mutable version of [`Cache::set`].
-    #[inline]
-    fn set_mut(&mut self, line: u64) -> &mut [Line] {
-        let idx = (line % self.num_sets as u64) as usize * self.config.ways;
-        &mut self.lines[idx..idx + self.config.ways]
     }
 
     /// Checks residency without updating LRU or statistics.
     #[must_use]
     pub fn probe(&self, addr: u64) -> bool {
-        let line = Self::line_addr(addr);
-        self.set(line).iter().any(|l| l.valid && l.tag == line)
+        self.ways.find(Self::line_addr(addr)).is_ok()
     }
 
     /// Performs an access: returns `true` on hit (promoting the line to
     /// MRU), `false` on miss. Misses do **not** allocate; call
     /// [`Cache::fill`] once the fill decision is made.
     pub fn access(&mut self, addr: u64) -> bool {
+        self.lookup(Self::line_addr(addr)).is_ok()
+    }
+
+    /// [`Cache::access`] by line address, returning the first way of the
+    /// line's set on a miss so [`Cache::install`] can fill it without a
+    /// second tag scan.
+    #[inline]
+    pub(crate) fn lookup(&mut self, line: u64) -> Result<(), usize> {
         self.clock += 1;
-        let clock = self.clock;
-        let line = Self::line_addr(addr);
-        if let Some(l) = self.set_mut(line).iter_mut().find(|l| l.valid && l.tag == line) {
-            l.lru = clock;
-            self.stats.hits += 1;
-            true
-        } else {
-            self.stats.misses += 1;
-            false
+        match self.ways.find(line) {
+            Ok(way) => {
+                self.ways.touch(way, self.clock);
+                self.stats.hits += 1;
+                Ok(())
+            }
+            Err(set) => {
+                self.stats.misses += 1;
+                Err(set)
+            }
         }
     }
 
     /// Installs the line containing `addr`, evicting LRU if necessary.
     pub fn fill(&mut self, addr: u64) {
-        self.clock += 1;
-        let clock = self.clock;
         let line = Self::line_addr(addr);
-        let set = self.set_mut(line);
-        if let Some(l) = set.iter_mut().find(|l| l.valid && l.tag == line) {
-            l.lru = clock;
-            return;
+        match self.ways.find(line) {
+            Ok(way) => {
+                self.clock += 1;
+                self.ways.touch(way, self.clock);
+            }
+            Err(set) => self.install(set, line),
         }
-        let victim =
-            set.iter_mut().min_by_key(|l| if l.valid { l.lru + 1 } else { 0 }).expect("ways > 0");
-        let evicting = victim.valid;
-        *victim = Line { tag: line, valid: true, lru: clock };
-        if evicting {
-            self.stats.evictions += 1;
-        }
+    }
+
+    /// Fills `line`, known to be absent, into the set whose first way is
+    /// `set`.
+    pub(crate) fn install(&mut self, set: usize, line: u64) {
+        self.clock += 1;
+        let (_, evicted) = self.ways.install(set, line, self.clock);
+        self.stats.evictions += u64::from(evicted);
     }
 
     /// Invalidates the line containing `addr`, if resident (`clflush`).
     pub fn flush_line(&mut self, addr: u64) {
-        let line = Self::line_addr(addr);
-        let mut flushed = 0;
-        for l in self.set_mut(line) {
-            if l.valid && l.tag == line {
-                l.valid = false;
-                flushed += 1;
-            }
+        if let Ok(way) = self.ways.find(Self::line_addr(addr)) {
+            self.ways.invalidate(way);
+            self.stats.flushes += 1;
         }
-        self.stats.flushes += flushed;
     }
 
     /// Invalidates the entire cache.
     pub fn flush_all(&mut self) {
-        for l in &mut self.lines {
-            l.valid = false;
-        }
+        self.ways.clear();
     }
 
     /// Accumulated statistics.
@@ -228,11 +215,9 @@ impl Cache {
     pub fn snapshot(&self) -> specmpk_trace::Json {
         use specmpk_trace::Json;
         let lines: Vec<Json> = self
-            .lines
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.valid)
-            .map(|(i, l)| Json::from(vec![Json::from(i), Json::hex(l.tag), Json::from(l.lru)]))
+            .ways
+            .resident()
+            .map(|(i, tag, lru)| Json::from(vec![Json::from(i), Json::hex(tag), Json::from(lru)]))
             .collect();
         Json::object()
             .with("clock", self.clock)
@@ -252,7 +237,9 @@ impl Cache {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed or out-of-range field.
+    /// Returns a description of the first malformed or out-of-range
+    /// field, and of rows a snapshot cannot contain: a tag outside the set
+    /// of its way, a way listed twice, or a line resident twice.
     pub fn restore_snapshot(&mut self, snap: &specmpk_trace::Json) -> Result<(), String> {
         let name = self.config.name;
         self.clock =
@@ -267,9 +254,7 @@ impl Cache {
             evictions: counter("evictions")?,
             flushes: counter("flushes")?,
         };
-        for l in &mut self.lines {
-            l.valid = false;
-        }
+        self.ways.clear();
         let lines =
             snap.get("lines").and_then(|j| j.as_arr()).ok_or(format!("{name}: bad lines"))?;
         for entry in lines {
@@ -278,9 +263,7 @@ impl Cache {
             let idx = row[0].as_u64().ok_or(format!("{name}: bad line index"))? as usize;
             let tag = row[1].as_hex_u64().ok_or(format!("{name}: bad line tag"))?;
             let lru = row[2].as_u64().ok_or(format!("{name}: bad line lru"))?;
-            let slot =
-                self.lines.get_mut(idx).ok_or(format!("{name}: line index {idx} out of range"))?;
-            *slot = Line { tag, valid: true, lru };
+            self.ways.restore(idx, tag, lru).map_err(|e| format!("{name}: {e}"))?;
         }
         Ok(())
     }
@@ -288,7 +271,7 @@ impl Cache {
     /// Number of valid lines.
     #[must_use]
     pub fn resident_lines(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.ways.resident().count()
     }
 }
 
@@ -380,6 +363,38 @@ mod tests {
         assert!(!restored.probe(2 * 64));
         // Serialization is byte-deterministic.
         assert_eq!(snap.dump(), c.snapshot().dump());
+    }
+
+    #[test]
+    #[should_panic(expected = "3 sets is not a power of two")]
+    fn non_power_of_two_set_count_panics() {
+        let _ = Cache::new(CacheConfig { size_bytes: 6 * 64, ways: 2, latency: 5, name: "toy" });
+    }
+
+    #[test]
+    fn restore_refuses_rows_that_contradict_each_other() {
+        // `small()` has 2 sets of 2 ways: even lines live in ways 0–1, odd
+        // lines in ways 2–3.
+        let snap = |rows: &str| {
+            specmpk_trace::Json::parse(&format!(
+                r#"{{"clock":9,"stats":{{"hits":0,"misses":0,"evictions":0,"flushes":0}},
+                    "lines":[{rows}]}}"#
+            ))
+            .unwrap()
+        };
+        let mut c = small();
+        c.restore_snapshot(&snap(r#"[0,"0x0",1],[3,"0x1",2]"#)).unwrap();
+        assert_eq!(c.resident_lines(), 2);
+        for (rows, why) in [
+            (r#"[2,"0x0",1]"#, "outside its set"),
+            (r#"[0,"0x2",1],[1,"0x2",2]"#, "resident twice"),
+            (r#"[0,"0x0",1],[0,"0x2",2]"#, "listed twice"),
+            (r#"[3,"0xffffffffffffffff",1]"#, "empty-way tag"),
+            (r#"[4,"0x0",1]"#, "out of range"),
+        ] {
+            let err = c.restore_snapshot(&snap(rows)).unwrap_err();
+            assert!(err.contains(why), "{rows}: {err}");
+        }
     }
 
     #[test]

@@ -114,6 +114,10 @@ impl CacheHierarchy {
         self.config
     }
 
+    /// One access through `l1` and the shared levels below it. Each
+    /// level's tags are scanned once: a miss remembers the set it missed
+    /// in, and the fill on the way back installs into that set.
+    #[inline]
     fn access_through(
         l1: &mut Cache,
         l2: &mut Cache,
@@ -121,26 +125,47 @@ impl CacheHierarchy {
         dram_extra: u64,
         addr: u64,
     ) -> AccessOutcome {
-        if l1.access(addr) {
-            return AccessOutcome { latency: l1.config().latency, level: AccessLevel::L1 };
+        let line = Cache::line_addr(addr);
+        match l1.lookup(line) {
+            Ok(()) => AccessOutcome { latency: l1.config().latency, level: AccessLevel::L1 },
+            Err(l1_set) => Self::refill(l1, l1_set, l2, l3, dram_extra, line),
         }
-        if l2.access(addr) {
-            l1.fill(addr);
-            return AccessOutcome { latency: l2.config().latency, level: AccessLevel::L2 };
-        }
-        if l3.access(addr) {
-            l2.fill(addr);
-            l1.fill(addr);
-            return AccessOutcome { latency: l3.config().latency, level: AccessLevel::L3 };
-        }
-        l3.fill(addr);
-        l2.fill(addr);
-        l1.fill(addr);
-        AccessOutcome { latency: l3.config().latency + dram_extra, level: AccessLevel::Dram }
+    }
+
+    /// The rest of an access that missed `l1` in set `l1_set`: find the
+    /// line further down and fill every level that missed.
+    fn refill(
+        l1: &mut Cache,
+        l1_set: usize,
+        l2: &mut Cache,
+        l3: &mut Cache,
+        dram_extra: u64,
+        line: u64,
+    ) -> AccessOutcome {
+        let outcome = match l2.lookup(line) {
+            Ok(()) => AccessOutcome { latency: l2.config().latency, level: AccessLevel::L2 },
+            Err(l2_set) => {
+                let outcome = match l3.lookup(line) {
+                    Ok(()) => {
+                        AccessOutcome { latency: l3.config().latency, level: AccessLevel::L3 }
+                    }
+                    Err(l3_set) => {
+                        l3.install(l3_set, line);
+                        let latency = l3.config().latency + dram_extra;
+                        AccessOutcome { latency, level: AccessLevel::Dram }
+                    }
+                };
+                l2.install(l2_set, line);
+                outcome
+            }
+        };
+        l1.install(l1_set, line);
+        outcome
     }
 
     /// A data-port access (load or store — stores allocate like loads in
     /// this write-allocate model).
+    #[inline]
     pub fn access_data(&mut self, addr: u64) -> AccessOutcome {
         Self::access_through(
             &mut self.l1d,
@@ -152,6 +177,7 @@ impl CacheHierarchy {
     }
 
     /// An instruction-fetch access.
+    #[inline]
     pub fn access_inst(&mut self, addr: u64) -> AccessOutcome {
         Self::access_through(
             &mut self.l1i,

@@ -44,11 +44,12 @@ mod memory;
 mod page_table;
 mod system;
 mod tlb;
+mod ways;
 
 pub use addr::{line_base, page_base, page_offset, vpn, LINE_BYTES, PAGE_BYTES};
 pub use cache::{Cache, CacheConfig, CacheStats};
 pub use hierarchy::{AccessLevel, AccessOutcome, CacheHierarchy, HierarchyConfig};
 pub use memory::SparseMemory;
 pub use page_table::{PageFault, PageTable, PageTableEntry};
-pub use system::{MemConfig, MemStats, MemorySystem, Translation};
+pub use system::{MemConfig, MemStats, MemorySystem, TlbLookup, Translation};
 pub use tlb::{Tlb, TlbConfig, TlbEntry, TlbStats};

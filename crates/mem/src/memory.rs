@@ -9,6 +9,12 @@ use crate::{page_offset, vpn, PAGE_BYTES};
 /// Sentinel VPN that can never occur (`vpn(addr) = addr >> 12 < 2^52`).
 const NO_PAGE: u64 = u64::MAX;
 
+/// Entries of the direct-mapped VPN → slot cache in front of the index.
+const RECENT: usize = 256;
+
+/// One materialized page.
+type Page = Box<[u8; PAGE_BYTES as usize]>;
+
 /// Multiply-based hasher for VPN keys (Fibonacci hashing).
 ///
 /// VPNs are small, well-distributed integers; SipHash's DoS resistance
@@ -36,6 +42,14 @@ impl Hasher for VpnHasher {
     }
 }
 
+/// The [`SparseMemory::recent`] entry `page` maps to: the high bits of a
+/// Fibonacci hash, so that pages a power-of-two distance apart (a stack
+/// top and a heap base) do not collide.
+#[inline]
+fn recent_index(page: u64) -> usize {
+    (page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - RECENT.trailing_zeros())) as usize
+}
+
 type VpnIndex = HashMap<u64, u32, BuildHasherDefault<VpnHasher>>;
 
 /// A sparse, byte-addressable 64-bit memory.
@@ -47,11 +61,10 @@ type VpnIndex = HashMap<u64, u32, BuildHasherDefault<VpnHasher>>;
 ///
 /// Layout: page payloads live in one slab (`pages`), located through a
 /// VPN → slot index with a cheap multiplicative hasher, fronted by a
-/// one-entry last-page cache. Simulated programs touch the same page in
-/// runs (stack traffic, array walks), so most accesses skip hashing
-/// entirely; `read_u64`/`read_uint`/`write_uint` additionally use whole-
-/// slice fast paths when the access stays inside one page (the common case
-/// — only accesses straddling a 4 KiB boundary fall back to per-byte).
+/// 256-entry direct-mapped cache of recent lookups, so accesses to the
+/// pages a program is working in skip the index.
+/// 1-, 2-, 4- and 8-byte accesses inside one page are fixed-width copies;
+/// only accesses straddling a 4 KiB boundary fall back to per-byte.
 ///
 /// # Examples
 ///
@@ -63,15 +76,22 @@ type VpnIndex = HashMap<u64, u32, BuildHasherDefault<VpnHasher>>;
 /// assert_eq!(m.read_uint(0xFFFF_0000, 4), 0xABCD);
 /// assert_eq!(m.read_uint(0x0, 8), 0); // untouched memory reads zero
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct SparseMemory {
     index: VpnIndex,
-    pages: Vec<Box<[u8]>>,
-    /// Last-page cache: `(vpn, slot)`, `NO_PAGE` when empty. A `Cell` so
-    /// the read path (`&self`) can refresh it; the simulator never shares
-    /// one memory across threads (each parallel experiment cell owns its
-    /// core), so losing `Sync` costs nothing.
-    last: Cell<(u64, u32)>,
+    pages: Vec<Page>,
+    /// Direct-mapped cache of `(vpn, slot)` lookups, `NO_PAGE` when empty,
+    /// at [`recent_index`]. `Cell`s so the read path (`&self`) can refresh
+    /// it; the simulator never shares one memory across threads (each
+    /// parallel experiment cell owns its core), so losing `Sync` costs
+    /// nothing.
+    recent: Box<[Cell<(u64, u32)>]>,
+}
+
+impl Default for SparseMemory {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl SparseMemory {
@@ -81,42 +101,47 @@ impl SparseMemory {
         SparseMemory {
             index: VpnIndex::default(),
             pages: Vec::new(),
-            last: Cell::new((NO_PAGE, 0)),
+            recent: vec![Cell::new((NO_PAGE, 0)); RECENT].into_boxed_slice(),
         }
     }
 
     /// The slab slot holding `page`, if materialized.
     #[inline]
     fn slot_of(&self, page: u64) -> Option<u32> {
-        let (last_vpn, last_slot) = self.last.get();
-        if last_vpn == page {
-            return Some(last_slot);
+        let recent = &self.recent[recent_index(page)];
+        let (vpn, slot) = recent.get();
+        if vpn == page {
+            return Some(slot);
         }
         let slot = *self.index.get(&page)?;
-        self.last.set((page, slot));
+        recent.set((page, slot));
         Some(slot)
     }
 
-    /// The page slice holding `page`, if materialized.
+    /// The page holding `page`, if materialized.
     #[inline]
-    fn page(&self, page: u64) -> Option<&[u8]> {
+    fn page(&self, page: u64) -> Option<&[u8; PAGE_BYTES as usize]> {
         self.slot_of(page).map(|slot| &*self.pages[slot as usize])
     }
 
-    /// The page slice holding `page`, materializing it (zero-filled) on
-    /// first touch.
-    fn page_mut(&mut self, page: u64) -> &mut [u8] {
+    /// The page holding `page`, materializing it (zero-filled) on first
+    /// touch.
+    #[inline]
+    fn page_mut(&mut self, page: u64) -> &mut [u8; PAGE_BYTES as usize] {
         let slot = match self.slot_of(page) {
             Some(slot) => slot,
-            None => {
-                let slot = u32::try_from(self.pages.len()).expect("fewer than 2^32 pages");
-                self.pages.push(vec![0u8; PAGE_BYTES as usize].into_boxed_slice());
-                self.index.insert(page, slot);
-                self.last.set((page, slot));
-                slot
-            }
+            None => self.materialize(page),
         };
         &mut self.pages[slot as usize]
+    }
+
+    /// Adds a zero-filled page for `page`, returning its slot.
+    fn materialize(&mut self, page: u64) -> u32 {
+        let slot = u32::try_from(self.pages.len()).expect("fewer than 2^32 pages");
+        self.pages.push(Box::new([0; PAGE_BYTES as usize]));
+        self.index.insert(page, slot);
+        self.recent[recent_index(page)].set((page, slot));
+        slot
     }
 
     /// Reads one byte (zero if the page was never written).
@@ -131,7 +156,7 @@ impl SparseMemory {
         self.page_mut(vpn(addr))[page_offset(addr) as usize] = value;
     }
 
-    /// Reads a little-endian unsigned integer of `width` bytes (1, 2, 4, 8).
+    /// Reads a little-endian unsigned integer of `width` bytes (1 to 8).
     ///
     /// Accesses may straddle page boundaries.
     ///
@@ -139,22 +164,34 @@ impl SparseMemory {
     ///
     /// Panics if `width` is 0 or greater than 8.
     #[must_use]
+    #[inline]
     pub fn read_uint(&self, addr: u64, width: u64) -> u64 {
+        match width {
+            8 => self.read_fixed::<8>(addr),
+            4 => self.read_fixed::<4>(addr),
+            2 => self.read_fixed::<2>(addr),
+            1 => self.read_fixed::<1>(addr),
+            _ => self.read_bytewise(addr, width),
+        }
+    }
+
+    /// [`SparseMemory::read_uint`] of a compile-time width: one page
+    /// lookup and an `N`-byte copy unless the access straddles a page.
+    #[inline]
+    fn read_fixed<const N: usize>(&self, addr: u64) -> u64 {
+        let offset = page_offset(addr) as usize;
+        if offset + N > PAGE_BYTES as usize {
+            return self.read_bytewise(addr, N as u64);
+        }
+        let Some(page) = self.page(vpn(addr)) else { return 0 };
+        let mut buf = [0u8; 8];
+        buf[..N].copy_from_slice(&page[offset..offset + N]);
+        u64::from_le_bytes(buf)
+    }
+
+    fn read_bytewise(&self, addr: u64, width: u64) -> u64 {
         assert!((1..=8).contains(&width), "width {width} out of range");
-        let offset = page_offset(addr);
-        if offset + width <= PAGE_BYTES {
-            // Single-page fast path: one locate, then a slice read.
-            let Some(page) = self.page(vpn(addr)) else { return 0 };
-            let mut buf = [0u8; 8];
-            buf[..width as usize]
-                .copy_from_slice(&page[offset as usize..(offset + width) as usize]);
-            return u64::from_le_bytes(buf);
-        }
-        let mut v = 0u64;
-        for i in 0..width {
-            v |= u64::from(self.read_byte(addr + i)) << (8 * i);
-        }
-        v
+        (0..width).fold(0, |v, i| v | u64::from(self.read_byte(addr + i)) << (8 * i))
     }
 
     /// Reads a little-endian `u64` — the load-path width the pipeline
@@ -170,15 +207,29 @@ impl SparseMemory {
     /// # Panics
     ///
     /// Panics if `width` is 0 or greater than 8.
+    #[inline]
     pub fn write_uint(&mut self, addr: u64, width: u64, value: u64) {
-        assert!((1..=8).contains(&width), "width {width} out of range");
-        let offset = page_offset(addr);
-        if offset + width <= PAGE_BYTES {
-            let page = self.page_mut(vpn(addr));
-            page[offset as usize..(offset + width) as usize]
-                .copy_from_slice(&value.to_le_bytes()[..width as usize]);
-            return;
+        match width {
+            8 => self.write_fixed::<8>(addr, value),
+            4 => self.write_fixed::<4>(addr, value),
+            2 => self.write_fixed::<2>(addr, value),
+            1 => self.write_fixed::<1>(addr, value),
+            _ => self.write_bytewise(addr, width, value),
         }
+    }
+
+    /// [`SparseMemory::write_uint`] of a compile-time width.
+    #[inline]
+    fn write_fixed<const N: usize>(&mut self, addr: u64, value: u64) {
+        let offset = page_offset(addr) as usize;
+        if offset + N > PAGE_BYTES as usize {
+            return self.write_bytewise(addr, N as u64, value);
+        }
+        self.page_mut(vpn(addr))[offset..offset + N].copy_from_slice(&value.to_le_bytes()[..N]);
+    }
+
+    fn write_bytewise(&mut self, addr: u64, width: u64, value: u64) {
+        assert!((1..=8).contains(&width), "width {width} out of range");
         for i in 0..width {
             self.write_byte(addr + i, (value >> (8 * i)) as u8);
         }
@@ -258,7 +309,7 @@ impl SparseMemory {
         let pages = snap.get("pages").and_then(|j| j.as_arr()).ok_or("memory: bad pages array")?;
         self.index = VpnIndex::default();
         self.pages = Vec::with_capacity(pages.len());
-        self.last = Cell::new((NO_PAGE, 0));
+        self.recent.fill(Cell::new((NO_PAGE, 0)));
         for entry in pages {
             let row = entry.as_arr().filter(|r| r.len() == 2).ok_or("memory: malformed page")?;
             let vpn = row[0].as_hex_u64().ok_or("memory: bad page vpn")?;
@@ -266,7 +317,7 @@ impl SparseMemory {
             if hex.len() != 2 * PAGE_BYTES as usize {
                 return Err(format!("memory: page {vpn:#x} payload has {} chars", hex.len()));
             }
-            let mut data = vec![0u8; PAGE_BYTES as usize].into_boxed_slice();
+            let mut data: Page = Box::new([0; PAGE_BYTES as usize]);
             let nibbles = hex.as_bytes();
             for (i, b) in data.iter_mut().enumerate() {
                 let hi = (nibbles[2 * i] as char).to_digit(16);
@@ -346,6 +397,42 @@ mod tests {
         let mut buf = [0xFFu8; 16];
         m.read_into(PAGE_BYTES - 8, &mut buf);
         assert_eq!(buf, [0u8; 16]);
+    }
+
+    #[test]
+    fn recent_page_cache_tracks_colliding_pages() {
+        // Find two pages that share a recent-cache entry, then alternate.
+        let a = 0x10u64;
+        let b = (a + 1..).find(|&p| recent_index(p) == recent_index(a)).unwrap();
+        let mut m = SparseMemory::new();
+        m.write_uint(a * PAGE_BYTES, 8, 1);
+        m.write_uint(b * PAGE_BYTES, 8, 2);
+        for i in 0..4 {
+            assert_eq!(m.read_u64(a * PAGE_BYTES), 1 + 10 * i);
+            assert_eq!(m.read_u64(b * PAGE_BYTES), 2);
+            m.write_uint(a * PAGE_BYTES, 8, 11 + 10 * i);
+        }
+        assert_eq!(m.resident_pages(), 2);
+    }
+
+    #[test]
+    fn every_width_matches_a_bytewise_reference() {
+        let bytes: Vec<u8> = (1..=16).collect();
+        let value = 0xF0E0_D0C0_B0A0_9080u64;
+        // One access inside a page, one straddling the first boundary.
+        for base in [0x100, PAGE_BYTES - 3] {
+            for width in 1..=8 {
+                let mut m = SparseMemory::new();
+                m.write_bytes(base, &bytes);
+                let expected = (0..width).fold(0, |v, i| v | u64::from(bytes[i]) << (8 * i));
+                assert_eq!(m.read_uint(base, width as u64), expected, "{base:#x}/{width}");
+                m.write_uint(base, width as u64, value);
+                let mut out = [0u8; 16];
+                m.read_into(base, &mut out);
+                assert_eq!(out[..width], value.to_le_bytes()[..width], "{base:#x}/{width}");
+                assert_eq!(out[width..], bytes[width..], "{base:#x}/{width}");
+            }
+        }
     }
 
     #[test]

@@ -105,6 +105,7 @@ impl PageTable {
     /// # Errors
     ///
     /// Returns [`PageFault::NotMapped`] if no mapping exists.
+    #[inline]
     pub fn entry(&self, addr: u64) -> Result<PageTableEntry, PageFault> {
         self.entries.get(&vpn(addr)).copied().ok_or(PageFault::NotMapped { addr })
     }
@@ -144,7 +145,8 @@ impl PageTable {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed field.
+    /// Returns a description of the first malformed field, or of a page
+    /// mapped by two rows.
     pub fn restore_snapshot(&mut self, snap: &specmpk_trace::Json) -> Result<(), String> {
         let entries =
             snap.get("entries").and_then(|j| j.as_arr()).ok_or("page table: bad entries")?;
@@ -164,7 +166,9 @@ impl PageTable {
                 )
                 .map_err(|e| format!("page table: {e}"))?,
             };
-            self.entries.insert(vpn, pte);
+            if self.entries.insert(vpn, pte).is_some() {
+                return Err(format!("page table: page {vpn:#x} mapped twice"));
+            }
         }
         Ok(())
     }
@@ -257,6 +261,19 @@ mod tests {
             let snap = specmpk_trace::Json::parse(&text).unwrap();
             assert!(pt.restore_snapshot(&snap).is_err(), "pkey {pkey} accepted");
         }
+    }
+
+    #[test]
+    fn restore_refuses_a_page_mapped_twice() {
+        let mut pt = PageTable::new();
+        let rows = r#"["0xa",true,true,false,1],["0xb",true,false,false,0]"#;
+        let snap = specmpk_trace::Json::parse(&format!(r#"{{"entries":[{rows}]}}"#)).unwrap();
+        pt.restore_snapshot(&snap).unwrap();
+        assert_eq!(pt.mapped_pages(), 2);
+        let rows = r#"["0xa",true,true,false,1],["0xa",true,false,false,0]"#;
+        let snap = specmpk_trace::Json::parse(&format!(r#"{{"entries":[{rows}]}}"#)).unwrap();
+        let err = pt.restore_snapshot(&snap).unwrap_err();
+        assert!(err.contains("page 0xa mapped twice"), "{err}");
     }
 
     #[test]

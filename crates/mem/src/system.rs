@@ -32,6 +32,36 @@ pub struct Translation {
     pub latency: u64,
 }
 
+/// A DTLB lookup whose state change has not been applied yet: the
+/// result of [`MemorySystem::probe_translation`], for
+/// [`MemorySystem::commit_translation`] to apply once the access is known
+/// to proceed.
+///
+/// It names a DTLB way, so it is only valid until the next change to the
+/// DTLB.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TlbLookup {
+    vpn: u64,
+    /// `Ok(way)` on a DTLB hit, `Err(first way of the set)` on a miss.
+    slot: Result<usize, usize>,
+    pte: PageTableEntry,
+}
+
+impl TlbLookup {
+    /// The page's protection key.
+    #[must_use]
+    #[inline]
+    pub fn pkey(&self) -> Pkey {
+        self.pte.pkey
+    }
+
+    /// Whether the DTLB had the translation.
+    #[must_use]
+    pub fn tlb_hit(&self) -> bool {
+        self.slot.is_ok()
+    }
+}
+
 /// Aggregated statistics across the memory system.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemStats {
@@ -68,7 +98,9 @@ impl MemStats {
 ///
 /// 1. [`MemorySystem::translate`] — DTLB probe/walk, returning the pkey
 ///    (with `update_tlb = false` when the policy defers TLB state changes,
-///    §V-C5);
+///    §V-C5), or its halves [`MemorySystem::probe_translation`] and
+///    [`MemorySystem::commit_translation`] when the update must wait for
+///    the PKRU check (the functional engine);
 /// 2. the PKRU check — performed by the policy crate, *not* here;
 /// 3. [`MemorySystem::data_timing`] — the cache access that determines
 ///    latency (and leaves the microarchitectural footprint attackers probe);
@@ -152,12 +184,27 @@ impl MemorySystem {
         Ok(())
     }
 
+    /// Probes the DTLB for `addr`, walking the page table on a miss,
+    /// without changing any state. Scans the DTLB set once.
+    #[inline]
+    fn lookup(&self, addr: u64) -> Result<TlbLookup, PageFault> {
+        let vpn = vpn(addr);
+        let slot = self.dtlb.find(vpn);
+        let pte = match slot {
+            Ok(way) => self.dtlb.pte(way),
+            Err(_) => self.page_table.entry(addr)?,
+        };
+        Ok(TlbLookup { vpn, slot, pte })
+    }
+
     /// Translates a data address, returning the pkey and charged latency.
     ///
     /// With `update_tlb = false` the DTLB's replacement state and contents
     /// are untouched (no fill on miss, no LRU promotion on hit) — the
     /// deferred-update mode SpecMPK requires for instructions that fail the
     /// PKRU check (§V-C5). Statistics are only recorded in updating mode.
+    /// In updating mode the DTLB is updated even when the page-table
+    /// permissions then deny `kind`.
     ///
     /// # Errors
     ///
@@ -169,32 +216,54 @@ impl MemorySystem {
         kind: AccessKind,
         update_tlb: bool,
     ) -> Result<Translation, PageFault> {
-        let page = vpn(addr);
-        let (pte, tlb_hit) = match self.dtlb.probe(page) {
-            Some(entry) => {
-                if update_tlb {
-                    self.dtlb.access(page);
-                }
-                (entry.pte, true)
-            }
-            None => {
-                let pte = self.page_table.entry(addr)?;
-                if update_tlb {
-                    self.dtlb.access(page); // records the miss
-                    self.dtlb.fill(TlbEntry { vpn: page, pte });
-                }
-                (pte, false)
-            }
-        };
+        let lookup = self.lookup(addr)?;
+        if update_tlb {
+            self.commit_translation(lookup);
+        }
+        let pte = lookup.pte;
         if !pte.allows(kind) {
             return Err(PageFault::PermissionDenied { addr, kind });
         }
+        let tlb_hit = lookup.tlb_hit();
         Ok(Translation {
             pkey: pte.pkey,
             pte,
             tlb_hit,
             latency: if tlb_hit { 0 } else { self.config.tlb.walk_latency },
         })
+    }
+
+    /// The first half of an updating [`MemorySystem::translate`], split so
+    /// a permission check can sit between the halves: probes the DTLB once
+    /// and checks the page-table permissions, changing no state. Pass the
+    /// result to [`MemorySystem::commit_translation`] if the access
+    /// proceeds, and drop it if it faults.
+    ///
+    /// # Errors
+    ///
+    /// Faults if the page is unmapped or its page-table permissions deny
+    /// `kind`.
+    #[inline]
+    pub fn probe_translation(&self, addr: u64, kind: AccessKind) -> Result<TlbLookup, PageFault> {
+        let lookup = self.lookup(addr)?;
+        if lookup.pte.allows(kind) {
+            Ok(lookup)
+        } else {
+            Err(PageFault::PermissionDenied { addr, kind })
+        }
+    }
+
+    /// Applies the DTLB update an updating [`MemorySystem::translate`]
+    /// makes: on a hit, count it and promote the way to MRU; on a miss,
+    /// count it and fill the walked entry. The lookup must come from the
+    /// current DTLB state (see [`TlbLookup`]).
+    #[inline]
+    pub fn commit_translation(&mut self, lookup: TlbLookup) {
+        debug_assert_eq!(self.dtlb.find(lookup.vpn), lookup.slot, "stale DTLB lookup");
+        match lookup.slot {
+            Ok(way) => self.dtlb.hit(way),
+            Err(set) => self.dtlb.miss(set, TlbEntry { vpn: lookup.vpn, pte: lookup.pte }),
+        }
     }
 
     /// Whether the DTLB currently holds the translation for `addr`
@@ -206,11 +275,13 @@ impl MemorySystem {
 
     /// Performs the cache-timing part of a data access (perturbs cache
     /// state — this is the microarchitectural footprint).
+    #[inline]
     pub fn data_timing(&mut self, addr: u64) -> AccessOutcome {
         self.caches.access_data(addr)
     }
 
     /// Performs the cache-timing part of an instruction fetch.
+    #[inline]
     pub fn inst_timing(&mut self, addr: u64) -> AccessOutcome {
         self.caches.access_inst(addr)
     }
@@ -232,6 +303,7 @@ impl MemorySystem {
 
     /// Functional read of `width` bytes (no timing, no permission check).
     #[must_use]
+    #[inline]
     pub fn read(&self, addr: u64, width: u64) -> u64 {
         self.memory.read_uint(addr, width)
     }
@@ -239,6 +311,7 @@ impl MemorySystem {
     /// Functional write of `width` bytes (no timing, no permission check).
     ///
     /// Only called at store retirement; wrong-path stores never reach this.
+    #[inline]
     pub fn write(&mut self, addr: u64, width: u64, value: u64) {
         self.memory.write_uint(addr, width, value);
     }
@@ -363,6 +436,42 @@ mod tests {
         assert!(!m.tlb_resident(0x8000));
         // Stats untouched in deferred mode.
         assert_eq!(m.stats().dtlb.misses, 0);
+    }
+
+    #[test]
+    fn probe_then_commit_equals_updating_translate() {
+        // Two systems see the same accesses: one through updating
+        // `translate`, the other through probe + commit. Misses, hits and
+        // evictions (a 1-set, 2-way DTLB over three pages) must leave
+        // identical DTLB state.
+        let config = MemConfig {
+            tlb: TlbConfig { entries: 2, ways: 2, walk_latency: 20 },
+            ..MemConfig::default()
+        };
+        let (mut a, mut b) = (MemorySystem::new(config), MemorySystem::new(config));
+        for m in [&mut a, &mut b] {
+            m.map_region(0x8000, 3 * 4096, Pkey::DEFAULT, SegmentPerms::RW);
+        }
+        for addr in [0x8000, 0x9000, 0x8008, 0xA000, 0x9000, 0x9010, 0x8000] {
+            let t = a.translate(addr, AccessKind::Write, true).unwrap();
+            let lookup = b.probe_translation(addr, AccessKind::Write).unwrap();
+            assert_eq!((lookup.pkey(), lookup.tlb_hit()), (t.pkey, t.tlb_hit));
+            b.commit_translation(lookup);
+            assert_eq!(b.snapshot().dump(), a.snapshot().dump(), "after {addr:#x}");
+        }
+        assert!(a.stats().dtlb.evictions > 0 && a.stats().dtlb.hits > 0);
+    }
+
+    #[test]
+    fn failed_probe_leaves_the_tlb_untouched() {
+        let mut m = sys();
+        m.map_region(0x8000, 4096, Pkey::DEFAULT, SegmentPerms::R);
+        m.translate(0x8000, AccessKind::Read, true).unwrap();
+        let before = m.snapshot().dump();
+        assert!(m.probe_translation(0x8000, AccessKind::Write).is_err());
+        assert!(m.probe_translation(0x9000, AccessKind::Read).is_err());
+        assert!(m.probe_translation(0x8000, AccessKind::Read).unwrap().tlb_hit());
+        assert_eq!(m.snapshot().dump(), before);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use specmpk_mpk::Pkey;
 
 use crate::page_table::PageTableEntry;
+use crate::ways::Ways;
 
 /// TLB geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,13 +42,6 @@ impl TlbEntry {
     pub fn pkey(&self) -> Pkey {
         self.pte.pkey
     }
-}
-
-#[derive(Debug, Clone)]
-struct Way {
-    entry: Option<TlbEntry>,
-    /// Higher = more recently used.
-    lru: u64,
 }
 
 /// Hit/miss counters.
@@ -113,11 +107,10 @@ impl TlbStats {
 #[derive(Debug, Clone)]
 pub struct Tlb {
     config: TlbConfig,
-    num_sets: usize,
-    /// Set-major: the ways of set `s` are `ways[s * ways_per_set ..]`.
-    /// One flat allocation keeps the per-lookup scan on a contiguous,
-    /// cache-resident run instead of a `Vec<Vec<_>>` double indirection.
-    ways: Vec<Way>,
+    /// VPN tags and LRU stamps; the set of a page is its low bits.
+    ways: Ways,
+    /// Cached entry of each way, parallel to `ways`.
+    ptes: Vec<PageTableEntry>,
     clock: u64,
     stats: TlbStats,
 }
@@ -127,14 +120,23 @@ impl Tlb {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is not a positive multiple of `ways`.
+    /// Panics if `entries` is not a positive multiple of `ways`, or if the
+    /// resulting set count is not a power of two (the set index is a mask
+    /// of the VPN).
     #[must_use]
     pub fn new(config: TlbConfig) -> Self {
         assert!(config.ways > 0 && config.entries > 0, "degenerate TLB geometry");
         assert_eq!(config.entries % config.ways, 0, "entries must be a multiple of ways");
         let num_sets = config.entries / config.ways;
-        let ways = vec![Way { entry: None, lru: 0 }; config.entries];
-        Tlb { config, num_sets, ways, clock: 0, stats: TlbStats::default() }
+        assert!(num_sets.is_power_of_two(), "{num_sets} TLB sets is not a power of two");
+        let empty = PageTableEntry { read: false, write: false, exec: false, pkey: Pkey::DEFAULT };
+        Tlb {
+            config,
+            ways: Ways::new(num_sets, config.ways),
+            ptes: vec![empty; config.entries],
+            clock: 0,
+            stats: TlbStats::default(),
+        }
     }
 
     /// The TLB's geometry.
@@ -143,89 +145,97 @@ impl Tlb {
         self.config
     }
 
-    /// The contiguous slice of ways for the set `vpn` maps to.
+    /// Finds `vpn`: `Ok(way)` if resident, else `Err(first way of its
+    /// set)`.
     #[inline]
-    fn set(&self, vpn: u64) -> &[Way] {
-        let idx = (vpn % self.num_sets as u64) as usize * self.config.ways;
-        &self.ways[idx..idx + self.config.ways]
+    pub(crate) fn find(&self, vpn: u64) -> Result<usize, usize> {
+        self.ways.find(vpn)
     }
 
-    /// Mutable version of [`Tlb::set`].
+    /// The entry cached in resident way `way`.
     #[inline]
-    fn set_mut(&mut self, vpn: u64) -> &mut [Way] {
-        let idx = (vpn % self.num_sets as u64) as usize * self.config.ways;
-        &mut self.ways[idx..idx + self.config.ways]
+    pub(crate) fn pte(&self, way: usize) -> PageTableEntry {
+        self.ptes[way]
     }
 
     /// Checks residency *without* updating replacement state or counters.
     #[must_use]
     pub fn probe(&self, vpn: u64) -> Option<TlbEntry> {
-        self.set(vpn).iter().filter_map(|w| w.entry).find(|e| e.vpn == vpn)
+        self.find(vpn).ok().map(|way| TlbEntry { vpn, pte: self.ptes[way] })
     }
 
     /// Looks up `vpn`, recording a hit or a miss in the statistics. On a
     /// hit the entry is promoted to MRU; on a miss nothing is installed
     /// (call [`Tlb::fill`] after walking).
     pub fn access(&mut self, vpn: u64) -> Option<TlbEntry> {
-        let hit = self.probe(vpn);
-        if hit.is_some() {
-            self.stats.hits += 1;
-            self.touch(vpn);
-        } else {
-            self.stats.misses += 1;
+        match self.find(vpn) {
+            Ok(way) => {
+                self.hit(way);
+                Some(TlbEntry { vpn, pte: self.ptes[way] })
+            }
+            Err(_) => {
+                self.stats.misses += 1;
+                None
+            }
         }
-        hit
+    }
+
+    /// Records a hit on resident way `way` and promotes it to MRU — what
+    /// [`Tlb::access`] does on a hit.
+    #[inline]
+    pub(crate) fn hit(&mut self, way: usize) {
+        self.stats.hits += 1;
+        self.clock += 1;
+        self.ways.touch(way, self.clock);
     }
 
     /// Promotes `vpn` to most-recently-used, if resident.
     pub fn touch(&mut self, vpn: u64) {
         self.clock += 1;
-        let clock = self.clock;
-        if let Some(way) =
-            self.set_mut(vpn).iter_mut().find(|w| w.entry.is_some_and(|e| e.vpn == vpn))
-        {
-            way.lru = clock;
+        if let Ok(way) = self.find(vpn) {
+            self.ways.touch(way, self.clock);
         }
     }
 
     /// Installs a translation, evicting the LRU way of its set if needed.
     pub fn fill(&mut self, entry: TlbEntry) {
+        match self.find(entry.vpn) {
+            // Re-fill of a resident page just refreshes it.
+            Ok(way) => {
+                self.clock += 1;
+                self.ptes[way] = entry.pte;
+                self.ways.touch(way, self.clock);
+            }
+            Err(set) => self.install(set, entry),
+        }
+    }
+
+    /// Records a miss and fills `entry`, known to be absent, into the set
+    /// whose first way is `set` — what [`Tlb::access`] then [`Tlb::fill`]
+    /// do on a miss.
+    #[inline]
+    pub(crate) fn miss(&mut self, set: usize, entry: TlbEntry) {
+        self.stats.misses += 1;
+        self.install(set, entry);
+    }
+
+    fn install(&mut self, set: usize, entry: TlbEntry) {
         self.clock += 1;
-        let clock = self.clock;
-        let set = self.set_mut(entry.vpn);
-        // Re-fill of a resident page just refreshes it.
-        if let Some(way) = set.iter_mut().find(|w| w.entry.is_some_and(|e| e.vpn == entry.vpn)) {
-            way.entry = Some(entry);
-            way.lru = clock;
-            return;
-        }
-        let victim = set
-            .iter_mut()
-            .min_by_key(|w| if w.entry.is_none() { 0 } else { w.lru + 1 })
-            .expect("ways > 0");
-        let evicting = victim.entry.is_some();
-        victim.entry = Some(entry);
-        victim.lru = clock;
-        if evicting {
-            self.stats.evictions += 1;
-        }
+        let (way, evicted) = self.ways.install(set, entry.vpn, self.clock);
+        self.ptes[way] = entry.pte;
+        self.stats.evictions += u64::from(evicted);
     }
 
     /// Invalidates the translation for `vpn`, if resident.
     pub fn invalidate(&mut self, vpn: u64) {
-        for way in self.set_mut(vpn) {
-            if way.entry.is_some_and(|e| e.vpn == vpn) {
-                way.entry = None;
-            }
+        if let Ok(way) = self.find(vpn) {
+            self.ways.invalidate(way);
         }
     }
 
     /// Flushes the whole TLB (e.g. on address-space change).
     pub fn flush(&mut self) {
-        for way in &mut self.ways {
-            way.entry = None;
-            way.lru = 0;
-        }
+        self.ways.clear();
         self.stats.flushes += 1;
     }
 
@@ -244,18 +254,17 @@ impl Tlb {
         use specmpk_trace::Json;
         let entries: Vec<Json> = self
             .ways
-            .iter()
-            .enumerate()
-            .filter_map(|(i, w)| w.entry.map(|e| (i, w.lru, e)))
-            .map(|(i, lru, e)| {
+            .resident()
+            .map(|(i, vpn, lru)| {
+                let pte = self.ptes[i];
                 Json::from(vec![
                     Json::from(i),
-                    Json::hex(e.vpn),
+                    Json::hex(vpn),
                     Json::from(lru),
-                    Json::from(e.pte.read),
-                    Json::from(e.pte.write),
-                    Json::from(e.pte.exec),
-                    Json::from(e.pte.pkey.index() as u64),
+                    Json::from(pte.read),
+                    Json::from(pte.write),
+                    Json::from(pte.exec),
+                    Json::from(pte.pkey.index() as u64),
                 ])
             })
             .collect();
@@ -277,7 +286,9 @@ impl Tlb {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed or out-of-range field.
+    /// Returns a description of the first malformed or out-of-range
+    /// field, and of rows a snapshot cannot contain: a VPN outside the set
+    /// of its way, a way listed twice, or a page resident twice.
     pub fn restore_snapshot(&mut self, snap: &specmpk_trace::Json) -> Result<(), String> {
         self.clock = snap.get("clock").and_then(|j| j.as_u64()).ok_or("tlb: bad clock")?;
         let stats = snap.get("stats").ok_or("tlb: missing stats")?;
@@ -290,10 +301,7 @@ impl Tlb {
             evictions: counter("evictions")?,
             flushes: counter("flushes")?,
         };
-        for way in &mut self.ways {
-            way.entry = None;
-            way.lru = 0;
-        }
+        self.ways.clear();
         let entries = snap.get("entries").and_then(|j| j.as_arr()).ok_or("tlb: bad entries")?;
         for e in entries {
             let row = e.as_arr().filter(|r| r.len() == 7).ok_or("tlb: malformed entry")?;
@@ -309,9 +317,8 @@ impl Tlb {
                 )
                 .map_err(|e| format!("tlb: {e}"))?,
             };
-            let way = self.ways.get_mut(idx).ok_or(format!("tlb: way index {idx} out of range"))?;
-            way.entry = Some(TlbEntry { vpn, pte });
-            way.lru = lru;
+            self.ways.restore(idx, vpn, lru).map_err(|e| format!("tlb: {e}"))?;
+            self.ptes[idx] = pte;
         }
         Ok(())
     }
@@ -319,7 +326,7 @@ impl Tlb {
     /// Number of currently valid entries.
     #[must_use]
     pub fn resident(&self) -> usize {
-        self.ways.iter().filter(|w| w.entry.is_some()).count()
+        self.ways.resident().count()
     }
 }
 
@@ -427,6 +434,40 @@ mod tests {
         tlb.fill(entry(9, 7)); // recolored page re-walked
         assert_eq!(tlb.probe(9).unwrap().pkey(), Pkey::new(7).unwrap());
         assert_eq!(tlb.resident(), 1);
+    }
+
+    #[test]
+    fn restore_refuses_rows_that_contradict_each_other() {
+        // 2 sets of 2 ways: even pages live in ways 0–1, odd pages in 2–3.
+        let snap = |rows: &str| {
+            specmpk_trace::Json::parse(&format!(
+                r#"{{"clock":9,"stats":{{"hits":0,"misses":0,"evictions":0,"flushes":0}},
+                    "entries":[{rows}]}}"#
+            ))
+            .unwrap()
+        };
+        let mut tlb = Tlb::new(TlbConfig { entries: 4, ways: 2, walk_latency: 10 });
+        tlb.restore_snapshot(&snap(
+            r#"[1,"0xa",1,true,true,false,0],[2,"0xb",2,true,true,false,0]"#,
+        ))
+        .unwrap();
+        assert!(tlb.probe(0xa).is_some() && tlb.probe(0xb).is_some());
+        for (rows, why) in [
+            (r#"[2,"0xa",1,true,true,false,0]"#, "outside its set"),
+            (r#"[0,"0xa",1,true,true,false,0],[1,"0xa",2,true,true,false,0]"#, "resident twice"),
+            (r#"[0,"0xa",1,true,true,false,0],[0,"0xc",2,true,true,false,0]"#, "listed twice"),
+            (r#"[3,"0xffffffffffffffff",1,true,true,false,0]"#, "empty-way tag"),
+            (r#"[4,"0xa",1,true,true,false,0]"#, "out of range"),
+        ] {
+            let err = tlb.restore_snapshot(&snap(rows)).unwrap_err();
+            assert!(err.contains(why), "{rows}: {err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "3 TLB sets is not a power of two")]
+    fn non_power_of_two_set_count_panics() {
+        let _ = Tlb::new(TlbConfig { entries: 6, ways: 2, walk_latency: 1 });
     }
 
     #[test]

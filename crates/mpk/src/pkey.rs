@@ -53,6 +53,7 @@ impl Pkey {
 
     /// The key's index in `0..16`.
     #[must_use]
+    #[inline]
     pub fn index(self) -> usize {
         usize::from(self.0)
     }

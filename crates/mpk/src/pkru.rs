@@ -43,6 +43,7 @@ pub enum PkeyPermission {
 impl PkeyPermission {
     /// Whether an access of `kind` is permitted.
     #[must_use]
+    #[inline]
     pub fn allows(self, kind: AccessKind) -> bool {
         match (self, kind) {
             (PkeyPermission::ReadWrite, _) => true,
@@ -110,12 +111,14 @@ impl Pkru {
     /// Creates a PKRU from its raw 32-bit encoding (the `EAX` value a
     /// `WRPKRU` instruction would write).
     #[must_use]
+    #[inline]
     pub fn from_bits(bits: u32) -> Self {
         Pkru(bits)
     }
 
     /// The raw 32-bit encoding (the value `RDPKRU` places in `EAX`).
     #[must_use]
+    #[inline]
     pub fn bits(self) -> u32 {
         self.0
     }
@@ -137,18 +140,21 @@ impl Pkru {
 
     /// Whether the Access-Disable bit is set for `pkey`.
     #[must_use]
+    #[inline]
     pub fn access_disabled(self, pkey: Pkey) -> bool {
         self.0 & (1 << (2 * pkey.index())) != 0
     }
 
     /// Whether the Write-Disable bit is set for `pkey`.
     #[must_use]
+    #[inline]
     pub fn write_disabled(self, pkey: Pkey) -> bool {
         self.0 & (1 << (2 * pkey.index() + 1)) != 0
     }
 
     /// The decoded permission for `pkey`.
     #[must_use]
+    #[inline]
     pub fn permission(self, pkey: Pkey) -> PkeyPermission {
         if self.access_disabled(pkey) {
             PkeyPermission::NoAccess
@@ -189,6 +195,7 @@ impl Pkru {
     ///
     /// Returns a [`ProtectionFault`] when the access is disallowed — the
     /// event a real CPU reports as a page fault with the PK bit set.
+    #[inline]
     pub fn check(self, pkey: Pkey, kind: AccessKind) -> Result<(), ProtectionFault> {
         let perm = self.permission(pkey);
         if perm.allows(kind) {

@@ -7,8 +7,12 @@
 //! detailed core's stages (`rename`/`issue`/`retire`) call the same helpers
 //! per instruction.
 //!
-//! [`Machine`] is the one in-order driver over [`ArchState::step`]. Its
-//! effects handler picks what a run does besides architectural execution:
+//! [`Machine`] is the one in-order driver. It decodes the program text
+//! once into a flat array (immediates sign-extended, writes to `zero`
+//! dropped), and its [`step_n`](Machine::step_n) loop runs that array with
+//! the PC in a local, reporting microarchitectural events to an effects
+//! handler ([`StepEffects`]). The handler picks what a run does besides
+//! architectural execution:
 //!
 //! * [`Interp`] = `Machine<PureStep>`, the reference interpreter. Every
 //!   hook is a no-op, so it executes with the exact architectural
@@ -23,9 +27,13 @@
 //!   [`Checkpoint`](crate::checkpoint::Checkpoint) and
 //!   [`Core::from_checkpoint`](crate::Core::from_checkpoint).
 
-use specmpk_isa::{AluOp, BranchCond, Instr, Operand, Program, Reg, INSTR_BYTES, NUM_REGS};
-use specmpk_mem::{MemConfig, MemorySystem, PageFault};
-use specmpk_mpk::{AccessKind, Pkey, Pkru, ProtectionFault};
+use std::marker::PhantomData;
+
+use specmpk_isa::{
+    AluOp, BranchCond, Instr, MemWidth, Operand, Program, Reg, INSTR_BYTES, NUM_REGS,
+};
+use specmpk_mem::{MemConfig, MemorySystem, PageFault, TlbLookup, LINE_BYTES};
+use specmpk_mpk::{AccessKind, Pkru, ProtectionFault};
 
 use crate::predictor::BranchPredictor;
 use crate::SimConfig;
@@ -64,6 +72,7 @@ pub struct ArchState {
 /// Per-instruction ALU semantics (shared by interpreter, fused rename and
 /// the issue stage).
 #[must_use]
+#[inline]
 pub fn alu_value(op: AluOp, a: u64, b: u64) -> u64 {
     op.eval(a, b)
 }
@@ -84,11 +93,12 @@ pub fn imm_operand(imm: i32) -> u64 {
 /// offset, wrapping.
 #[must_use]
 pub fn effective_addr(base: u64, offset: i32) -> u64 {
-    base.wrapping_add(offset as i64 as u64)
+    base.wrapping_add(imm_operand(offset))
 }
 
 /// Conditional-branch outcome.
 #[must_use]
+#[inline]
 pub fn branch_taken(cond: BranchCond, a: u64, b: u64) -> bool {
     cond.eval(a, b)
 }
@@ -105,50 +115,39 @@ pub fn branch_next(taken: bool, target: u64, pc: u64) -> u64 {
 
 /// Link value written by `jal`/`jalr`: the sequentially next PC.
 #[must_use]
+#[inline]
 pub fn link_addr(pc: u64) -> u64 {
     pc + INSTR_BYTES
 }
 
 /// `wrpkru` semantics: the new PKRU is the low 32 bits of `EAX`.
 #[must_use]
+#[inline]
 pub fn wrpkru_value(eax: u64) -> Pkru {
     Pkru::from_bits(eax as u32)
 }
 
 /// `rdpkru` semantics: the PKRU bits zero-extended into `EAX`.
 #[must_use]
+#[inline]
 pub fn rdpkru_value(pkru: Pkru) -> u64 {
     u64::from(pkru.bits())
 }
 
-/// Checks a data access against the page table and `pkru`, without
-/// perturbing the TLB or caches (probe-only translation).
+/// Microarchitectural side-channel of architectural execution.
 ///
-/// # Errors
-///
-/// Returns the architectural exit for page faults and pkey protection
-/// faults.
-pub fn check_access(
-    mem: &mut MemorySystem,
-    pkru: Pkru,
-    addr: u64,
-    kind: AccessKind,
-) -> Result<Pkey, ArchExit> {
-    let translation = mem.translate(addr, kind, false).map_err(ArchExit::PageFault)?;
-    pkru.check(translation.pkey, kind).map_err(ArchExit::ProtectionFault)?;
-    Ok(translation.pkey)
-}
-
-/// Microarchitectural side-channel of an architectural step.
-///
-/// [`ArchState::step`] executes pure architectural semantics and reports
+/// [`Machine::step_n`] executes pure architectural semantics and reports
 /// each microarchitecturally relevant event through this trait. [`Interp`]
 /// passes [`PureStep`] (every hook a no-op: architectural execution only);
 /// [`FastForward`] passes [`Warmup`], which drives cache/TLB timing and
 /// predictor training off the same events the detailed pipeline would
 /// generate on the correct path.
 pub trait StepEffects {
-    /// An instruction fetch at `pc` is about to execute.
+    /// The instruction at `pc` is about to execute. Called for the first
+    /// instruction of every [`Machine::step_n`] call, after every taken
+    /// control transfer, and whenever straight-line execution enters a new
+    /// cache line — so every instruction is covered by a call for its own
+    /// line, though not every instruction gets a call of its own.
     fn fetch(&mut self, mem: &mut MemorySystem, pc: u64) {
         let _ = (mem, pc);
     }
@@ -169,9 +168,11 @@ pub trait StepEffects {
     fn indirect(&mut self, pc: u64, target: u64) {
         let _ = (pc, target);
     }
-    /// A permission-checked data access at `addr` is about to commit.
-    fn data_access(&mut self, mem: &mut MemorySystem, addr: u64, kind: AccessKind) {
-        let _ = (mem, addr, kind);
+    /// A data access at `addr` passed its page-table and PKRU checks and
+    /// is about to commit. `lookup` is its DTLB probe, whose state update
+    /// ([`MemorySystem::commit_translation`]) has not been applied.
+    fn data_access(&mut self, mem: &mut MemorySystem, addr: u64, lookup: TlbLookup) {
+        let _ = (mem, addr, lookup);
     }
     /// A `clflush` of the line containing `addr` retired.
     fn flush(&mut self, mem: &mut MemorySystem, addr: u64) {
@@ -214,113 +215,224 @@ impl ArchState {
             self.regs[reg.index()] = value;
         }
     }
+}
 
-    /// Evaluates a register-or-immediate operand.
-    #[must_use]
-    pub fn operand(&self, op: Operand) -> u64 {
-        match op {
-            Operand::Reg(r) => self.read_reg(r),
-            Operand::Imm(i) => imm_operand(i),
-        }
-    }
+/// Register slot that absorbs the writes to `zero` a decoded [`Op`] keeps:
+/// those of loads and links, whose other effects remain.
+const SINK: u8 = NUM_REGS as u8;
 
-    fn data_access<E: StepEffects>(
-        &mut self,
-        mem: &mut MemorySystem,
-        fx: &mut E,
-        base: Reg,
-        offset: i32,
-        kind: AccessKind,
-    ) -> Result<u64, ArchExit> {
-        let addr = effective_addr(self.read_reg(base), offset);
-        check_access(mem, self.pkru, addr, kind)?;
-        fx.data_access(mem, addr, kind);
-        Ok(addr)
-    }
+/// Operands of `rd := rs1 <op> rs2`, as [`Regs`] slots.
+#[derive(Debug, Clone, Copy)]
+struct Rrr {
+    rd: u8,
+    rs1: u8,
+    rs2: u8,
+}
 
-    /// Executes one instruction against `mem`, reporting
-    /// microarchitectural events to `fx`. `Ok(true)` means continue,
-    /// `Ok(false)` means a `halt` retired.
-    ///
-    /// # Errors
-    ///
-    /// Returns the architectural exit condition for faults and bad PCs.
-    pub fn step<E: StepEffects>(
-        &mut self,
-        program: &Program,
-        mem: &mut MemorySystem,
-        fx: &mut E,
-    ) -> Result<bool, ArchExit> {
-        let instr = *program.instr_at(self.pc).ok_or(ArchExit::BadPc(self.pc))?;
-        let pc = self.pc;
-        let next_pc = pc + INSTR_BYTES;
-        fx.fetch(mem, pc);
+/// Operands of `rd := rs1 <op> imm`, the immediate sign-extended.
+#[derive(Debug, Clone, Copy)]
+struct Rri {
+    rd: u8,
+    rs1: u8,
+    imm: u64,
+}
+
+/// One instruction, decoded for [`Machine::step_n`].
+///
+/// * Register operands are slots of [`Regs`]; immediates and offsets are
+///   sign-extended.
+/// * Each `AluOp` has a register and an immediate variant, so an ALU
+///   instruction is dispatched once.
+/// * ALU and `li` writes to `zero` are [`Op::Nop`]s; other writes to it go
+///   to [`SINK`].
+/// * Control-transfer targets stay PCs: the loop re-indexes after every
+///   transfer. `call` marks a `jal` through `ra`, `ret` a `jalr zero, ra`.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Add(Rrr),
+    Sub(Rrr),
+    And(Rrr),
+    Or(Rrr),
+    Xor(Rrr),
+    Sll(Rrr),
+    Srl(Rrr),
+    Sra(Rrr),
+    Mul(Rrr),
+    Slt(Rrr),
+    Sltu(Rrr),
+    AddI(Rri),
+    SubI(Rri),
+    AndI(Rri),
+    OrI(Rri),
+    XorI(Rri),
+    SllI(Rri),
+    SrlI(Rri),
+    SraI(Rri),
+    MulI(Rri),
+    SltI(Rri),
+    SltuI(Rri),
+    Li { rd: u8, value: u64 },
+    Load { rd: u8, base: u8, width: MemWidth, offset: u64 },
+    Store { rs: u8, base: u8, width: MemWidth, offset: u64 },
+    Branch { cond: BranchCond, rs1: u8, rs2: u8, target: u64 },
+    Jump { target: u64 },
+    Jal { rd: u8, call: bool, target: u64 },
+    Jalr { rd: u8, rs: u8, ret: bool },
+    Wrpkru,
+    Rdpkru,
+    Clflush { base: u8, offset: u64 },
+    Nop,
+    Halt,
+}
+
+impl Op {
+    fn decode(instr: Instr) -> Op {
+        let slot = |r: Reg| r.index() as u8;
+        let dest = |r: Reg| if r.is_zero() { SINK } else { slot(r) };
         match instr {
-            Instr::Alu { op, rd, rs1, src2 } => {
-                let v = alu_value(op, self.read_reg(rs1), self.operand(src2));
-                self.write_reg(rd, v);
-                self.pc = next_pc;
+            Instr::Alu { rd, .. } | Instr::Li { rd, .. } if rd.is_zero() => Op::Nop,
+            Instr::Alu { op, rd, rs1, src2: Operand::Reg(rs2) } => {
+                let o = Rrr { rd: slot(rd), rs1: slot(rs1), rs2: slot(rs2) };
+                match op {
+                    AluOp::Add => Op::Add(o),
+                    AluOp::Sub => Op::Sub(o),
+                    AluOp::And => Op::And(o),
+                    AluOp::Or => Op::Or(o),
+                    AluOp::Xor => Op::Xor(o),
+                    AluOp::Sll => Op::Sll(o),
+                    AluOp::Srl => Op::Srl(o),
+                    AluOp::Sra => Op::Sra(o),
+                    AluOp::Mul => Op::Mul(o),
+                    AluOp::Slt => Op::Slt(o),
+                    AluOp::Sltu => Op::Sltu(o),
+                }
             }
-            Instr::Li { rd, imm } => {
-                self.write_reg(rd, li_value(imm));
-                self.pc = next_pc;
+            Instr::Alu { op, rd, rs1, src2: Operand::Imm(imm) } => {
+                let o = Rri { rd: slot(rd), rs1: slot(rs1), imm: imm_operand(imm) };
+                match op {
+                    AluOp::Add => Op::AddI(o),
+                    AluOp::Sub => Op::SubI(o),
+                    AluOp::And => Op::AndI(o),
+                    AluOp::Or => Op::OrI(o),
+                    AluOp::Xor => Op::XorI(o),
+                    AluOp::Sll => Op::SllI(o),
+                    AluOp::Srl => Op::SrlI(o),
+                    AluOp::Sra => Op::SraI(o),
+                    AluOp::Mul => Op::MulI(o),
+                    AluOp::Slt => Op::SltI(o),
+                    AluOp::Sltu => Op::SltuI(o),
+                }
             }
+            Instr::Li { rd, imm } => Op::Li { rd: slot(rd), value: li_value(imm) },
             Instr::Load { rd, base, offset, width } => {
-                let addr = self.data_access(mem, fx, base, offset, AccessKind::Read)?;
-                let v = width.truncate(mem.read(addr, width.bytes()));
-                self.write_reg(rd, v);
-                self.pc = next_pc;
+                Op::Load { rd: dest(rd), base: slot(base), width, offset: imm_operand(offset) }
             }
             Instr::Store { rs, base, offset, width } => {
-                let addr = self.data_access(mem, fx, base, offset, AccessKind::Write)?;
-                mem.write(addr, width.bytes(), width.truncate(self.read_reg(rs)));
-                self.pc = next_pc;
+                Op::Store { rs: slot(rs), base: slot(base), width, offset: imm_operand(offset) }
             }
             Instr::Branch { cond, rs1, rs2, target } => {
-                let taken = branch_taken(cond, self.read_reg(rs1), self.read_reg(rs2));
-                fx.cond_branch(pc, taken);
-                self.pc = branch_next(taken, target, pc);
+                Op::Branch { cond, rs1: slot(rs1), rs2: slot(rs2), target }
             }
-            Instr::Jump { target } => self.pc = target,
-            Instr::Jal { rd, target } => {
-                let link = link_addr(pc);
-                self.write_reg(rd, link);
-                if rd == Reg::RA {
-                    fx.call(pc, link);
-                }
-                self.pc = target;
-            }
+            Instr::Jump { target } => Op::Jump { target },
+            Instr::Jal { rd, target } => Op::Jal { rd: dest(rd), call: rd == Reg::RA, target },
             Instr::Jalr { rd, rs } => {
-                let target = self.read_reg(rs);
-                self.write_reg(rd, link_addr(pc));
-                if rd.is_zero() && rs == Reg::RA {
-                    fx.ret(pc);
-                } else {
-                    fx.indirect(pc, target);
-                }
-                self.pc = target;
+                Op::Jalr { rd: dest(rd), rs: slot(rs), ret: rd.is_zero() && rs == Reg::RA }
             }
-            Instr::Wrpkru => {
-                self.pkru = wrpkru_value(self.read_reg(Reg::EAX));
-                self.pc = next_pc;
-            }
-            Instr::Rdpkru => {
-                self.write_reg(Reg::EAX, rdpkru_value(self.pkru));
-                self.pc = next_pc;
-            }
+            Instr::Wrpkru => Op::Wrpkru,
+            Instr::Rdpkru => Op::Rdpkru,
             Instr::Clflush { base, offset } => {
-                // No architectural effect; the address is not even
-                // permission-checked (flushing is not a data access). The
-                // microarchitectural flush is the effect hook's business.
-                let addr = effective_addr(self.read_reg(base), offset);
-                fx.flush(mem, addr);
-                self.pc = next_pc;
+                Op::Clflush { base: slot(base), offset: imm_operand(offset) }
             }
-            Instr::Nop => self.pc = next_pc,
-            Instr::Halt => return Ok(false),
+            Instr::Nop => Op::Nop,
+            Instr::Halt => Op::Halt,
         }
-        Ok(true)
     }
+}
+
+/// A program's text decoded once: `ops[i]` is the instruction at
+/// `base + i * INSTR_BYTES`.
+#[derive(Debug)]
+struct Decoded {
+    base: u64,
+    ops: Box<[Op]>,
+}
+
+impl Decoded {
+    fn new(program: &Program) -> Self {
+        Decoded {
+            base: program.text_base(),
+            ops: program.text().iter().map(|&instr| Op::decode(instr)).collect(),
+        }
+    }
+
+    /// The index of the instruction at `pc`: `None` when `pc` is outside
+    /// the text or misaligned (as for [`Program::instr_at`]).
+    #[inline]
+    fn index(&self, pc: u64) -> Option<usize> {
+        let offset = pc.wrapping_sub(self.base);
+        if !offset.is_multiple_of(INSTR_BYTES) {
+            return None;
+        }
+        usize::try_from(offset / INSTR_BYTES).ok().filter(|&i| i < self.ops.len())
+    }
+}
+
+/// The register file of a running [`Machine::step_n`]: the architectural
+/// registers, with `zero` reading 0 whatever `ArchState::regs[0]` holds,
+/// then [`SINK`]. 64 slots, so a masked index needs no bounds check.
+struct Regs([u64; 64]);
+
+impl Regs {
+    fn load(state: &ArchState) -> Self {
+        let mut regs = [0; 64];
+        regs[1..NUM_REGS].copy_from_slice(&state.regs[1..]);
+        Regs(regs)
+    }
+
+    fn store(&self, state: &mut ArchState) {
+        state.regs[1..].copy_from_slice(&self.0[1..NUM_REGS]);
+    }
+
+    #[inline(always)]
+    fn get(&self, slot: u8) -> u64 {
+        self.0[usize::from(slot) % 64]
+    }
+
+    #[inline(always)]
+    fn set(&mut self, slot: u8, value: u64) {
+        self.0[usize::from(slot) % 64] = value;
+    }
+
+    /// Executes `op` on register operands; `op` is a constant at every
+    /// call site, so its own dispatch folds away.
+    #[inline(always)]
+    fn alu(&mut self, op: AluOp, o: Rrr) {
+        self.set(o.rd, alu_value(op, self.get(o.rs1), self.get(o.rs2)));
+    }
+
+    /// Executes `op` on a register and an immediate.
+    #[inline(always)]
+    fn alu_imm(&mut self, op: AluOp, o: Rri) {
+        self.set(o.rd, alu_value(op, self.get(o.rs1), o.imm));
+    }
+}
+
+/// Checks a data access and reports it: one DTLB probe, the page-table
+/// permissions, then `pkru`. Only an access that passes both reaches the
+/// effects hook, so a faulting access leaves the DTLB and caches as they
+/// were.
+#[inline]
+fn data_access<E: StepEffects>(
+    mem: &mut MemorySystem,
+    fx: &mut E,
+    pkru: Pkru,
+    addr: u64,
+    kind: AccessKind,
+) -> Result<(), ArchExit> {
+    let lookup = mem.probe_translation(addr, kind).map_err(ArchExit::PageFault)?;
+    pkru.check(lookup.pkey(), kind).map_err(ArchExit::ProtectionFault)?;
+    fx.data_access(mem, addr, lookup);
+    Ok(())
 }
 
 /// Warmup [`StepEffects`]: drives cache/TLB fills and predictor training
@@ -340,12 +452,14 @@ pub struct Warmup {
 // compiled in the crate that calls it, and a non-`#[inline]` method of this
 // crate stays an out-of-line call there. Without the attribute,
 // `specmpk-benchmark`'s `sampled` fast-forward ran slower in 4 of 4
-// alternating pairs (median -17%, 2-vCPU VM).
+// alternating pairs (median -17%, 2-vCPU VM). The `specmpk-mem` entry
+// points the hooks and the loop call are `#[inline]` for the same reason.
 impl StepEffects for Warmup {
     #[inline]
     fn fetch(&mut self, mem: &mut MemorySystem, pc: u64) {
         // One instruction-cache access per newly touched line — the same
-        // per-line discipline the detailed fetch stage uses.
+        // per-line discipline the detailed fetch stage uses. The gate also
+        // absorbs the loop's calls for a transfer within the current line.
         let line = specmpk_mem::line_base(pc);
         if self.last_fetch_line != Some(line) {
             self.last_fetch_line = Some(line);
@@ -381,11 +495,10 @@ impl StepEffects for Warmup {
     }
 
     #[inline]
-    fn data_access(&mut self, mem: &mut MemorySystem, addr: u64, kind: AccessKind) {
-        // The check already translated without side effects; re-translate
-        // in updating mode to fill the TLB, then run the access through
-        // the data-cache hierarchy.
-        let _ = mem.translate(addr, kind, true);
+    fn data_access(&mut self, mem: &mut MemorySystem, addr: u64, lookup: TlbLookup) {
+        // Apply the DTLB update the check deferred, then run the access
+        // through the data-cache hierarchy.
+        mem.commit_translation(lookup);
         let _ = mem.data_timing(addr);
     }
 
@@ -395,9 +508,9 @@ impl StepEffects for Warmup {
     }
 }
 
-/// A program executing in order on an [`ArchState`], one
-/// [`ArchState::step`] at a time, with the effects handler `E` (see the
-/// module docs for the two instances, [`Interp`] and [`FastForward`]).
+/// A program executing in order on an [`ArchState`], with the effects
+/// handler `E` (see the module docs for the two instances, [`Interp`] and
+/// [`FastForward`]).
 ///
 /// The machine is resumable: [`step_n`](Self::step_n) borrows it, so
 /// callers can interleave bounded execution with state inspection or
@@ -421,7 +534,9 @@ impl StepEffects for Warmup {
 /// ```
 #[derive(Debug)]
 pub struct Machine<'p, E> {
-    pub(crate) program: &'p Program,
+    /// The program's text, decoded when the machine is built.
+    code: Decoded,
+    program: PhantomData<&'p Program>,
     pub(crate) state: ArchState,
     pub(crate) mem: MemorySystem,
     pub(crate) fx: E,
@@ -435,22 +550,151 @@ pub type Interp<'p> = Machine<'p, PureStep>;
 /// predictor the detailed core samples from.
 pub type FastForward<'p> = Machine<'p, Warmup>;
 
-impl<E: StepEffects> Machine<'_, E> {
+impl<'p, E: StepEffects> Machine<'p, E> {
+    /// A machine running `program` from `state` after `executed`
+    /// instructions.
+    pub(crate) fn with_state(
+        program: &'p Program,
+        state: ArchState,
+        mem: MemorySystem,
+        fx: E,
+        executed: u64,
+    ) -> Self {
+        Machine { code: Decoded::new(program), program: PhantomData, state, mem, fx, executed }
+    }
+
     /// Executes up to `n` further instructions. Returns `None` if the
     /// budget ran out with the machine still runnable (call `step_n` again
     /// to resume), or the terminal [`ArchExit`] otherwise.
+    ///
+    /// A `halt` counts as executed and leaves `pc` on it. A fault leaves
+    /// `pc` on the faulting instruction, which does not count. A PC outside
+    /// the text is reported before any effect of the instruction there.
     pub fn step_n(&mut self, n: u64) -> Option<ArchExit> {
-        for _ in 0..n {
-            match self.state.step(self.program, &mut self.mem, &mut self.fx) {
-                Ok(true) => self.executed += 1,
-                Ok(false) => {
-                    self.executed += 1;
-                    return Some(ArchExit::Halted);
-                }
-                Err(e) => return Some(e),
+        let Machine { code, state, mem, fx, executed, .. } = self;
+        let eax = Reg::EAX.index() as u8;
+        let mut r = Regs::load(state);
+        let mut pkru = state.pkru;
+        let mut pc = state.pc;
+        let mut left = n;
+        // Each pass of the outer loop starts at `pc`, after a control
+        // transfer (or at entry); the inner loop runs straight-line code.
+        let exit = 'transfer: loop {
+            if left == 0 {
+                break None;
             }
-        }
-        None
+            let Some(mut i) = code.index(pc) else { break Some(ArchExit::BadPc(pc)) };
+            fx.fetch(mem, pc);
+            loop {
+                match code.ops[i] {
+                    Op::Add(o) => r.alu(AluOp::Add, o),
+                    Op::Sub(o) => r.alu(AluOp::Sub, o),
+                    Op::And(o) => r.alu(AluOp::And, o),
+                    Op::Or(o) => r.alu(AluOp::Or, o),
+                    Op::Xor(o) => r.alu(AluOp::Xor, o),
+                    Op::Sll(o) => r.alu(AluOp::Sll, o),
+                    Op::Srl(o) => r.alu(AluOp::Srl, o),
+                    Op::Sra(o) => r.alu(AluOp::Sra, o),
+                    Op::Mul(o) => r.alu(AluOp::Mul, o),
+                    Op::Slt(o) => r.alu(AluOp::Slt, o),
+                    Op::Sltu(o) => r.alu(AluOp::Sltu, o),
+                    Op::AddI(o) => r.alu_imm(AluOp::Add, o),
+                    Op::SubI(o) => r.alu_imm(AluOp::Sub, o),
+                    Op::AndI(o) => r.alu_imm(AluOp::And, o),
+                    Op::OrI(o) => r.alu_imm(AluOp::Or, o),
+                    Op::XorI(o) => r.alu_imm(AluOp::Xor, o),
+                    Op::SllI(o) => r.alu_imm(AluOp::Sll, o),
+                    Op::SrlI(o) => r.alu_imm(AluOp::Srl, o),
+                    Op::SraI(o) => r.alu_imm(AluOp::Sra, o),
+                    Op::MulI(o) => r.alu_imm(AluOp::Mul, o),
+                    Op::SltI(o) => r.alu_imm(AluOp::Slt, o),
+                    Op::SltuI(o) => r.alu_imm(AluOp::Sltu, o),
+                    Op::Li { rd, value } => r.set(rd, value),
+                    Op::Load { rd, base, width, offset } => {
+                        // `effective_addr`, with the offset pre-extended.
+                        let addr = r.get(base).wrapping_add(offset);
+                        if let Err(e) = data_access(mem, fx, pkru, addr, AccessKind::Read) {
+                            break 'transfer Some(e);
+                        }
+                        r.set(rd, width.truncate(mem.read(addr, width.bytes())));
+                    }
+                    Op::Store { rs, base, width, offset } => {
+                        let addr = r.get(base).wrapping_add(offset);
+                        if let Err(e) = data_access(mem, fx, pkru, addr, AccessKind::Write) {
+                            break 'transfer Some(e);
+                        }
+                        mem.write(addr, width.bytes(), width.truncate(r.get(rs)));
+                    }
+                    Op::Branch { cond, rs1, rs2, target } => {
+                        let taken = branch_taken(cond, r.get(rs1), r.get(rs2));
+                        fx.cond_branch(pc, taken);
+                        if taken {
+                            left -= 1;
+                            pc = target;
+                            continue 'transfer;
+                        }
+                    }
+                    Op::Jump { target } => {
+                        left -= 1;
+                        pc = target;
+                        continue 'transfer;
+                    }
+                    Op::Jal { rd, call, target } => {
+                        let link = link_addr(pc);
+                        r.set(rd, link);
+                        if call {
+                            fx.call(pc, link);
+                        }
+                        left -= 1;
+                        pc = target;
+                        continue 'transfer;
+                    }
+                    Op::Jalr { rd, rs, ret } => {
+                        let target = r.get(rs);
+                        r.set(rd, link_addr(pc));
+                        if ret {
+                            fx.ret(pc);
+                        } else {
+                            fx.indirect(pc, target);
+                        }
+                        left -= 1;
+                        pc = target;
+                        continue 'transfer;
+                    }
+                    Op::Wrpkru => pkru = wrpkru_value(r.get(eax)),
+                    Op::Rdpkru => r.set(eax, rdpkru_value(pkru)),
+                    Op::Clflush { base, offset } => {
+                        // No architectural effect; the address is not even
+                        // permission-checked (flushing is not a data
+                        // access). The microarchitectural flush is the
+                        // effect hook's business.
+                        fx.flush(mem, r.get(base).wrapping_add(offset));
+                    }
+                    Op::Nop => {}
+                    Op::Halt => {
+                        left -= 1;
+                        break 'transfer Some(ArchExit::Halted);
+                    }
+                }
+                left -= 1;
+                pc += INSTR_BYTES;
+                i += 1;
+                if left == 0 {
+                    break 'transfer None;
+                }
+                if i == code.ops.len() {
+                    break 'transfer Some(ArchExit::BadPc(pc));
+                }
+                if pc % LINE_BYTES < INSTR_BYTES {
+                    fx.fetch(mem, pc);
+                }
+            }
+        };
+        r.store(state);
+        state.pkru = pkru;
+        state.pc = pc;
+        *executed += n - left;
+        exit
     }
 
     /// Instructions executed so far.
@@ -481,7 +725,7 @@ impl<'p> Interp<'p> {
         let mut mem = MemorySystem::new(MemConfig::default());
         mem.load_program(program);
         let state = ArchState::at_entry(program, initial_pkru);
-        Machine { program, state, mem, fx: PureStep, executed: 0 }
+        Machine::with_state(program, state, mem, PureStep, 0)
     }
 }
 
@@ -497,7 +741,7 @@ impl<'p> FastForward<'p> {
         let state = ArchState::at_entry(program, config.initial_pkru);
         let fx =
             Warmup { predictor: BranchPredictor::new(config.predictor), last_fetch_line: None };
-        Machine { program, state, mem, fx, executed: 0 }
+        Machine::with_state(program, state, mem, fx, 0)
     }
 }
 
@@ -733,5 +977,70 @@ mod tests {
         assert_eq!(pure.step_n(u64::MAX), Some(ArchExit::Halted));
         assert_eq!(ff.executed(), pure.executed());
         assert_eq!(ff.state(), pure.state());
+    }
+
+    #[test]
+    fn zero_reads_zero_whatever_regs_0_holds() {
+        let mut asm = Assembler::new(0x1000);
+        let skip = asm.fresh_label();
+        asm.alu(AluOp::Add, Reg::T0, Reg::ZERO, Operand::Imm(5));
+        asm.li(Reg::ZERO, 9); // dropped
+        asm.load(Reg::ZERO, Reg::ZERO, 0x8000, MemWidth::D); // accessed, not written
+        asm.branch(BranchCond::Eq, Reg::ZERO, Reg::T1, skip); // T1 is 0: taken
+        asm.li(Reg::T0, 99);
+        asm.bind(skip).unwrap();
+        asm.halt();
+        let mut p = Program::new(asm.base(), asm.assemble().unwrap());
+        p.add_segment(DataSegment::with_bytes("d", 0x8000, vec![7; 8], Pkey::DEFAULT));
+        let mut ff = FastForward::new(&SimConfig::default(), &p);
+        ff.state.regs[0] = 0xdead;
+        assert_eq!(ff.step_n(100), Some(ArchExit::Halted));
+        assert_eq!(ff.state().read_reg(Reg::T0), 5);
+        assert_eq!(ff.state.regs[0], 0xdead, "the loop never writes regs[0]");
+        assert_eq!(ff.mem().stats().l1d.accesses(), 1, "a load into zero still accesses");
+    }
+
+    #[test]
+    fn bad_pc_is_reported_before_its_fetch() {
+        for target in [0x2000, 0x1004, 0x0ff8] {
+            let mut asm = Assembler::new(0x1000);
+            asm.li(Reg::T0, target as i64);
+            asm.jalr(Reg::ZERO, Reg::T0);
+            let p = Program::new(asm.base(), asm.assemble().unwrap());
+            let mut ff = FastForward::new(&SimConfig::default(), &p);
+            assert_eq!(ff.step_n(100), Some(ArchExit::BadPc(target)));
+            assert_eq!((ff.executed(), ff.state().pc), (2, target));
+            assert_eq!(ff.mem().stats().l1i.accesses(), 1, "only line 0x1000 was fetched");
+        }
+    }
+
+    #[test]
+    fn faulting_access_leaves_the_dtlb_untouched() {
+        let key = Pkey::new(1).unwrap();
+        let mut asm = Assembler::new(0x1000);
+        asm.li(Reg::T0, 0x8000);
+        asm.store(Reg::T0, Reg::T0, 0, MemWidth::D); // DTLB miss, fill
+        asm.set_pkru(Pkru::ALL_ACCESS.with_access_disabled(key, true).bits());
+        asm.load(Reg::T1, Reg::T0, 0, MemWidth::D); // would hit: pkey fault
+        let p = Program::new(asm.base(), asm.assemble().unwrap());
+        let mut with_pkey = p.clone();
+        with_pkey.add_segment(DataSegment::zeroed("d", 0x8000, 4096, key));
+        let mut page_ro = p.clone();
+        let mut seg = DataSegment::zeroed("d", 0x8000, 4096, Pkey::DEFAULT);
+        seg.perms = SegmentPerms::R; // the store faults on the page table
+        page_ro.add_segment(seg);
+        for (program, steps, fault_pc) in
+            [(&with_pkey, 4, 0x1020), (&page_ro, 1, 0x1008), (&p, 1, 0x1008)]
+        {
+            let mut ff = FastForward::new(&SimConfig::default(), program);
+            assert_eq!(ff.step_n(steps), None);
+            let dtlb = |ff: &FastForward<'_>| ff.mem().snapshot().get("dtlb").unwrap().dump();
+            let before = dtlb(&ff);
+            let exit = ff.step_n(100);
+            assert!(matches!(exit, Some(ArchExit::ProtectionFault(_) | ArchExit::PageFault(_))));
+            assert_eq!((ff.executed(), ff.state().pc), (steps, fault_pc), "{exit:?}");
+            assert_eq!(dtlb(&ff), before, "{exit:?} changed the DTLB");
+            assert_eq!(ff.step_n(1), exit, "re-executing the fault faults again");
+        }
     }
 }

@@ -73,13 +73,9 @@ impl Checkpoint {
     /// captured state, so the checkpoint can seed further windows).
     #[must_use]
     pub fn resume_fast_forward<'p>(&self, program: &'p specmpk_isa::Program) -> FastForward<'p> {
-        Machine {
-            program,
-            state: self.arch.clone(),
-            mem: self.mem.clone(),
-            fx: Warmup { predictor: self.predictor.clone(), last_fetch_line: self.last_fetch_line },
-            executed: self.executed,
-        }
+        let fx =
+            Warmup { predictor: self.predictor.clone(), last_fetch_line: self.last_fetch_line };
+        Machine::with_state(program, self.arch.clone(), self.mem.clone(), fx, self.executed)
     }
 
     /// Serializes the checkpoint. Dumping the returned value yields

@@ -9,10 +9,12 @@ use specmpk_core::{registry, PolicyRef};
 use specmpk_isa::{AluOp, Assembler, BranchCond, DataSegment, MemWidth, Operand, Program, Reg};
 use specmpk_mpk::{Pkey, Pkru};
 use specmpk_ooo::arch::{ArchExit, Interp};
-use specmpk_ooo::{ArchState, Core, ExitReason, SimConfig};
+use specmpk_ooo::{ArchState, Checkpoint, Core, ExitReason, FastForward, SimConfig};
 
 const DATA_BASE: u64 = 0x8000;
 const SECURE_BASE: u64 = 0x20000;
+/// A page no segment maps.
+const UNMAPPED_BASE: u64 = 0x40000;
 
 /// Registers the generator may clobber freely.
 const SCRATCH: [Reg; 9] =
@@ -22,12 +24,85 @@ fn secure_key() -> Pkey {
     Pkey::new(1).unwrap()
 }
 
+/// Edge cases the base generator never emits. Each is off by default, and
+/// with all of them off the generator draws exactly the random numbers it
+/// always did, so existing seeds keep generating the same programs.
+#[derive(Debug, Clone, Copy, Default)]
+struct Knobs {
+    /// Loads and ALU results whose destination is `zero`.
+    zero_dest: bool,
+    /// Accesses that fault: to an unmapped page, and to the secure page
+    /// right after a WRPKRU disabled it (reads) or write-disabled it
+    /// (writes).
+    faults: bool,
+    /// `jalr` to a target below or past the text, or misaligned within it.
+    bad_jalr: bool,
+}
+
+impl Knobs {
+    const ALL: Knobs = Knobs { zero_dest: true, faults: true, bad_jalr: true };
+}
+
 struct Gen {
     rng: StdRng,
     depth: usize,
+    knobs: Knobs,
 }
 
 impl Gen {
+    /// Emits one enabled edge case, if the draw picks one.
+    fn maybe_emit_edge_case(&mut self, asm: &mut Assembler) -> bool {
+        let k = self.knobs;
+        if !(k.zero_dest || k.faults || k.bad_jalr) || self.rng.gen_range(0..100) >= 4 {
+            return false;
+        }
+        match self.rng.gen_range(0..5) {
+            0 | 1 if k.zero_dest => {
+                let w = self.width();
+                let off = self.rng.gen_range(0..(4096 / w.bytes())) * w.bytes();
+                asm.load(Reg::ZERO, Reg::S4, off as i32, w);
+                let op = AluOp::all()[self.rng.gen_range(0..11)];
+                let rs1 = self.reg();
+                asm.alu(op, Reg::ZERO, rs1, Operand::Imm(self.rng.gen_range(-9..9)));
+            }
+            2 if k.faults => {
+                let base = self.reg();
+                asm.li(base, (UNMAPPED_BASE + self.rng.gen_range(0..4096)) as i64);
+                if self.rng.gen_bool(0.5) {
+                    asm.load(self.reg(), base, 0, MemWidth::B);
+                } else {
+                    asm.store(self.reg(), base, 0, MemWidth::B);
+                }
+            }
+            3 if k.faults => {
+                let w = self.width();
+                let off = self.rng.gen_range(0..(4096 / w.bytes())) * w.bytes();
+                if self.rng.gen_bool(0.5) {
+                    let closed = Pkru::ALL_ACCESS.with_access_disabled(secure_key(), true);
+                    asm.set_pkru(closed.bits());
+                    asm.load(self.reg(), Reg::A4, off as i32, w);
+                } else {
+                    let read_only = Pkru::ALL_ACCESS.with_write_disabled(secure_key(), true);
+                    asm.set_pkru(read_only.bits());
+                    asm.load(self.reg(), Reg::A4, off as i32, w);
+                    asm.store(self.reg(), Reg::A4, off as i32, w);
+                }
+            }
+            4 if k.bad_jalr => {
+                let target = match self.rng.gen_range(0..3) {
+                    0 => asm.base() - 8,
+                    1 => asm.here() + 8 * 100_000,
+                    _ => asm.here() + 4,
+                };
+                let via = self.reg();
+                asm.li(via, target as i64);
+                asm.jalr(self.reg(), via);
+            }
+            _ => return false,
+        }
+        true
+    }
+
     fn reg(&mut self) -> Reg {
         SCRATCH[self.rng.gen_range(0..SCRATCH.len())]
     }
@@ -40,6 +115,9 @@ impl Gen {
         let mut remaining = budget;
         while remaining > 0 {
             remaining -= 1;
+            if self.maybe_emit_edge_case(asm) {
+                continue;
+            }
             match self.rng.gen_range(0..100) {
                 0..=34 => {
                     // Random ALU op.
@@ -112,7 +190,11 @@ impl Gen {
 }
 
 fn generate(seed: u64) -> Program {
-    let mut g = Gen { rng: StdRng::seed_from_u64(seed), depth: 0 };
+    generate_with(seed, Knobs::default())
+}
+
+fn generate_with(seed: u64, knobs: Knobs) -> Program {
+    let mut g = Gen { rng: StdRng::seed_from_u64(seed), depth: 0, knobs };
     let mut asm = Assembler::new(0x1000);
     let helper_count = g.rng.gen_range(0..3usize);
     let helpers: Vec<_> = (0..helper_count).map(|_| asm.fresh_label()).collect();
@@ -207,6 +289,72 @@ fn random_programs_match_across_rob_pkru_sizes() {
             let result = core.run();
             assert_same_state(seed, PolicyRef::SPEC_MPK, &result, reference.state());
         }
+    }
+}
+
+/// Everything a fast-forward run leaves behind: the exit, the instruction
+/// count, the architectural state and the checkpoint bytes (memory image,
+/// page table, caches, TLB and predictor).
+fn fast_forward_outcome(
+    mut ff: FastForward<'_>,
+    mut step: impl FnMut(&mut FastForward<'_>) -> Option<Option<ArchExit>>,
+) -> (Option<ArchExit>, u64, ArchState, String) {
+    let exit = loop {
+        if let Some(exit) = step(&mut ff) {
+            break exit;
+        }
+    };
+    let (executed, state) = (ff.executed(), ff.state().clone());
+    (exit, executed, state, Checkpoint::capture(ff).to_json().dump())
+}
+
+/// One `step_n(budget)` call, uneven slices of the same budget, and
+/// `budget` calls of `step_n(1)` must leave identical fast-forward
+/// outcomes, whichever way the program stops: halt, page fault, pkey
+/// fault, bad PC or budget. Every one of those exits must occur.
+#[test]
+fn fast_forward_is_slice_invariant_through_every_exit() {
+    let config = SimConfig::default();
+    let mut exits = std::collections::BTreeMap::<&str, usize>::new();
+    for seed in 0..200u64 {
+        let program = generate_with(seed, Knobs::ALL);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        let budget = rng.gen_range(1..500u64);
+
+        let whole =
+            fast_forward_outcome(FastForward::new(&config, &program), |ff| Some(ff.step_n(budget)));
+        let mut left = budget;
+        let sliced = fast_forward_outcome(FastForward::new(&config, &program), |ff| {
+            let slice = rng.gen_range(1..=left.min(41));
+            left -= slice;
+            match ff.step_n(slice) {
+                None if left > 0 => None,
+                exit => Some(exit),
+            }
+        });
+        let mut left = budget;
+        let single = fast_forward_outcome(FastForward::new(&config, &program), |ff| {
+            left -= 1;
+            match ff.step_n(1) {
+                None if left > 0 => None,
+                exit => Some(exit),
+            }
+        });
+        assert_eq!(sliced, whole, "seed {seed}: uneven slices diverged from one call");
+        assert_eq!(single, whole, "seed {seed}: single steps diverged from one call");
+
+        let kind = match &whole.0 {
+            None => "budget",
+            Some(ArchExit::Halted) => "halted",
+            Some(ArchExit::PageFault(_)) => "page fault",
+            Some(ArchExit::ProtectionFault(_)) => "pkey fault",
+            Some(ArchExit::BadPc(_)) => "bad pc",
+        };
+        *exits.entry(kind).or_default() += 1;
+    }
+    eprintln!("fast-forward exits over 200 edge-case programs: {exits:?}");
+    for kind in ["budget", "halted", "page fault", "pkey fault", "bad pc"] {
+        assert!(exits.contains_key(kind), "no program ended by {kind}: {exits:?}");
     }
 }
 

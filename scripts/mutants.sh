@@ -1,0 +1,90 @@
+#!/usr/bin/env bash
+# Mutation check: applies each mutant below, one at a time, to a copy of
+# the working tree and runs the tier-1 tests that should catch it.
+#
+#   scripts/mutants.sh              # every mutant
+#   scripts/mutants.sh <name>...    # only these
+#
+# Prints one KILLED/SURVIVED line per mutant and fails if any mutant
+# survives, no longer compiles, or no longer applies (its search text must
+# occur exactly once in its file). The copy and its build directory live
+# under a `mktemp -d` directory (honours TMPDIR) and are removed on exit.
+# Not a ci.sh stage: the first mutant builds the workspace's tests from
+# scratch and every later one rebuilds the crates it touches.
+set -euo pipefail
+root="$(cd "$(dirname "$0")/.." && pwd)"
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+tree="$work/tree"
+mkdir -p "$tree"
+git -C "$root" ls-files -z --cached --others --exclude-standard |
+    tar -C "$root" --null --ignore-failed-read -cf - -T - | tar -C "$tree" -xf -
+export CARGO_TARGET_DIR="$work/target"
+
+selected=("$@")
+failures=0
+
+# mutant <name> <file> <search> <replace> <cargo test args...>
+mutant() {
+    local name="$1" file="$2" search="$3" replace="$4"
+    shift 4
+    if [[ ${#selected[@]} -gt 0 && " ${selected[*]} " != *" ${name} "* ]]; then
+        return 0
+    fi
+    local path="$tree/$file" text rest count
+    text="$(<"$path")"
+    rest="${text//"$search"/}"
+    count=$(((${#text} - ${#rest}) / ${#search}))
+    if [[ $count -ne 1 ]]; then
+        echo "STALE    ${name}: search text occurs ${count}× in ${file}"
+        failures=$((failures + 1))
+        return 0
+    fi
+    cp "$path" "$work/original"
+    printf '%s\n' "${text/"$search"/"$replace"}" >"$path"
+    local log="$work/${name}.log" start=$SECONDS status=0
+    (cd "$tree" && cargo test -q "$@") >"$log" 2>&1 || status=$?
+    cp "$work/original" "$path"
+    local took=$((SECONDS - start))
+    if grep -q '^error\[E[0-9]*\]\|^error: could not compile' "$log"; then
+        echo "BROKEN   ${name}: does not compile (${took} s)"
+        grep -m3 '^error' "$log"
+        failures=$((failures + 1))
+    elif [[ $status -eq 0 ]]; then
+        echo "SURVIVED ${name}: cargo test $* passed (${took} s)"
+        failures=$((failures + 1))
+    else
+        local failed
+        failed="$(grep -m1 -o '^test [^ ]* \.\.\. FAILED\|^---- [^ ]*' "$log" || true)"
+        echo "KILLED   ${name}: cargo test $* (${took} s) ${failed}"
+    fi
+}
+
+issue=crates/ooo/src/stages/issue.rs
+squash=crates/ooo/src/stages/squash.rs
+
+mutant load-gate-off "$issue" \
+    'if oldest < e.seq {' 'if oldest < e.seq && false {' \
+    --test workload_differential issue_rules
+mutant issue-width-plus-one "$issue" \
+    'if issued_total >= st.config.width {' 'if issued_total > st.config.width {' \
+    --test workload_differential issue_rules
+mutant squash-keeps-lq-entry "$squash" \
+    'st.lq_len -= 1;' '' \
+    -p specmpk-ooo --test differential
+mutant squash-leaks-register "$squash" \
+    'st.rf.release(new);' 'let _ = new;' \
+    -p specmpk-ooo --test differential
+mutant no-fetch-after-transfer crates/ooo/src/arch.rs \
+    $'fx.fetch(mem, pc);\n            loop {' $'if left == n {\n                fx.fetch(mem, pc);\n            }\n            loop {' \
+    --test fast_forward warmup_goldens
+mutant dtlb-hit-keeps-lru crates/mem/src/tlb.rs \
+    $'self.clock += 1;\n        self.ways.touch(way, self.clock);\n    }\n\n    /// Promotes' \
+    $'self.clock += 1;\n    }\n\n    /// Promotes' \
+    --test fast_forward warmup_goldens
+
+if [[ $failures -gt 0 ]]; then
+    echo "FAIL: ${failures} mutant(s) not killed"
+    exit 1
+fi
+echo "PASS: every mutant killed"

@@ -236,3 +236,60 @@ fn corrupted_checkpoints_are_refused_without_panicking() {
         let _ = restore_outcome(&format!("random bytes, case {case}"), &text);
     }
 }
+
+/// Committed warm-up goldens: the length and FNV-1a-64 digest of the
+/// serialized checkpoint of each benchmark program after a fixed
+/// fast-forward from reset, and again after a second fast-forward of the
+/// same length resumed from that checkpoint. The bytes cover every
+/// register, dirty page, page-table entry, cache and TLB line with its LRU
+/// stamp, statistics counter and predictor bit the warm-up produced, so
+/// any change to what the functional engine does to the memory system or
+/// the predictor shows up here.
+///
+/// The fixture was generated by the per-instruction `ArchState::step`
+/// loop that preceded the pre-decoded one. Regenerate with
+/// `SPECMPK_BLESS=1 cargo test --test fast_forward warmup_goldens` — but
+/// only after an intentional change to the warm-up model.
+mod warmup_goldens {
+    use super::*;
+
+    const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/goldens/warmup_goldens.tsv");
+
+    /// The programs behind the benchmark's four workloads.
+    const PROGRAMS: [&str; 4] = ["520.omnetpp_r", "505.mcf_r", "453.povray", "400.perlbench"];
+
+    /// Instructions per fast-forward leg.
+    const LEG: u64 = 300_000;
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    }
+
+    fn row(name: &str, cp: &Checkpoint) -> String {
+        let dump = cp.to_json().dump();
+        format!("{name}\t{}\t{}\t{:#018x}\n", cp.executed, dump.len(), fnv1a(dump.as_bytes()))
+    }
+
+    #[test]
+    fn checkpoint_bytes_match_the_committed_warmup_goldens() {
+        let mut lines = String::new();
+        for name in PROGRAMS {
+            let w = standard_suite().into_iter().find(|w| w.profile.name == name).unwrap();
+            let program = w.build_protected();
+            let first = checkpoint_at(&program, LEG);
+            lines += &row(name, &first);
+            let mut resumed = first.resume_fast_forward(&program);
+            assert_eq!(resumed.step_n(LEG), None, "{name} ended during its second leg");
+            lines += &row(name, &Checkpoint::capture(resumed));
+        }
+        if std::env::var_os("SPECMPK_BLESS").is_some() {
+            std::fs::write(FIXTURE, &lines).expect("write warm-up goldens fixture");
+            return;
+        }
+        let golden = std::fs::read_to_string(FIXTURE)
+            .expect("missing tests/goldens/warmup_goldens.tsv — run once with SPECMPK_BLESS=1");
+        assert_eq!(golden, lines, "fast-forward warm-up bytes diverged from the goldens");
+    }
+}
