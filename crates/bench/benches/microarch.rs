@@ -5,7 +5,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use specmpk_core::{PkruEngine, PolicyRef, SpecMpkConfig};
 use specmpk_mem::{Cache, CacheConfig, CacheHierarchy, MemConfig, MemorySystem, Tlb, TlbConfig};
 use specmpk_mpk::{AccessKind, Pkey, Pkru};
-use specmpk_ooo::{BranchPredictor, PredictorConfig};
+use specmpk_ooo::{BranchPredictor, PredictorConfig, RasRepairLog};
 
 fn cache_hierarchy(c: &mut Criterion) {
     let mut group = c.benchmark_group("cache_hierarchy");
@@ -103,7 +103,8 @@ fn predictor(c: &mut Criterion) {
     });
     group.bench_function("checkpoint", |b| {
         let p = BranchPredictor::new(PredictorConfig::default());
-        b.iter(|| p.checkpoint())
+        let log = RasRepairLog::new(512);
+        b.iter(|| p.checkpoint(&log))
     });
     group.finish();
 }

@@ -15,10 +15,16 @@ use specmpk_mpk::{Pkey, NUM_PKEYS};
 /// The required width per counter is `⌊log2(ROB_pkru size)⌋ + 1` bits; with
 /// Rust we simply use `u8` (a `ROB_pkru` larger than 255 would be absurd)
 /// and let the §VIII cost model report the architectural bit count.
+///
+/// Beside the counters it keeps one `u16` mask per kind with bit *k* set
+/// while counter *k* is non-zero, so the PKRU checks read the whole
+/// window as two bitmaps and [`all_zero`](Self::all_zero) is one test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DisablingCounters {
     access_disable: [u8; NUM_PKEYS],
     write_disable: [u8; NUM_PKEYS],
+    access_disable_mask: u16,
+    write_disable_mask: u16,
 }
 
 impl DisablingCounters {
@@ -31,18 +37,18 @@ impl DisablingCounters {
     /// Increments counters for every key set in the AD/WD bitmaps — called
     /// when a `WRPKRU` executes.
     pub fn increment(&mut self, ad_bitmap: u16, wd_bitmap: u16) {
-        for k in 0..NUM_PKEYS {
-            if ad_bitmap & (1 << k) != 0 {
-                self.access_disable[k] = self.access_disable[k].checked_add(1).expect(
-                    "AccessDisableCounter overflow: more WRPKRUs in flight than ROB_pkru allows",
-                );
-            }
-            if wd_bitmap & (1 << k) != 0 {
-                self.write_disable[k] = self.write_disable[k].checked_add(1).expect(
-                    "WriteDisableCounter overflow: more WRPKRUs in flight than ROB_pkru allows",
-                );
-            }
+        for k in set_bits(ad_bitmap) {
+            self.access_disable[k] = self.access_disable[k].checked_add(1).expect(
+                "AccessDisableCounter overflow: more WRPKRUs in flight than ROB_pkru allows",
+            );
         }
+        for k in set_bits(wd_bitmap) {
+            self.write_disable[k] = self.write_disable[k].checked_add(1).expect(
+                "WriteDisableCounter overflow: more WRPKRUs in flight than ROB_pkru allows",
+            );
+        }
+        self.access_disable_mask |= ad_bitmap;
+        self.write_disable_mask |= wd_bitmap;
     }
 
     /// Decrements counters for every key set in the bitmaps — called when
@@ -53,14 +59,18 @@ impl DisablingCounters {
     /// Panics on underflow, which would indicate a bookkeeping bug in the
     /// pipeline (a decrement without a matching increment).
     pub fn decrement(&mut self, ad_bitmap: u16, wd_bitmap: u16) {
-        for k in 0..NUM_PKEYS {
-            if ad_bitmap & (1 << k) != 0 {
-                self.access_disable[k] =
-                    self.access_disable[k].checked_sub(1).expect("AccessDisableCounter underflow");
+        for k in set_bits(ad_bitmap) {
+            let c = &mut self.access_disable[k];
+            *c = c.checked_sub(1).expect("AccessDisableCounter underflow");
+            if *c == 0 {
+                self.access_disable_mask &= !(1 << k);
             }
-            if wd_bitmap & (1 << k) != 0 {
-                self.write_disable[k] =
-                    self.write_disable[k].checked_sub(1).expect("WriteDisableCounter underflow");
+        }
+        for k in set_bits(wd_bitmap) {
+            let c = &mut self.write_disable[k];
+            *c = c.checked_sub(1).expect("WriteDisableCounter underflow");
+            if *c == 0 {
+                self.write_disable_mask &= !(1 << k);
             }
         }
     }
@@ -77,11 +87,35 @@ impl DisablingCounters {
         self.write_disable[pkey.index()]
     }
 
+    /// The keys whose Access-Disable counter is non-zero (bit *k* = pkey *k*).
+    #[must_use]
+    #[inline]
+    pub fn access_disable_mask(&self) -> u16 {
+        self.access_disable_mask
+    }
+
+    /// The keys whose Write-Disable counter is non-zero (bit *k* = pkey *k*).
+    #[must_use]
+    #[inline]
+    pub fn write_disable_mask(&self) -> u16 {
+        self.write_disable_mask
+    }
+
     /// Whether every counter is zero (no disabling updates in flight).
     #[must_use]
+    #[inline]
     pub fn all_zero(&self) -> bool {
-        self.access_disable.iter().all(|&c| c == 0) && self.write_disable.iter().all(|&c| c == 0)
+        self.access_disable_mask | self.write_disable_mask == 0
     }
+}
+
+/// The indices of the set bits of `bitmap`, lowest first.
+fn set_bits(mut bitmap: u16) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let k = bitmap.trailing_zeros() as usize;
+        bitmap &= bitmap.wrapping_sub(1);
+        (k < NUM_PKEYS).then_some(k)
+    })
 }
 
 #[cfg(test)]
@@ -122,6 +156,20 @@ mod tests {
         assert_eq!(c.access_disable(k(5)), 2);
         c.decrement(1 << 5, 0);
         assert_eq!(c.access_disable(k(5)), 1);
+    }
+
+    #[test]
+    fn masks_clear_only_when_a_counter_drains() {
+        let mut c = DisablingCounters::new();
+        c.increment(0b101, 0b100);
+        c.increment(0b001, 0);
+        assert_eq!((c.access_disable_mask(), c.write_disable_mask()), (0b101, 0b100));
+        c.decrement(0b101, 0b100);
+        assert_eq!((c.access_disable_mask(), c.write_disable_mask()), (0b001, 0));
+        assert!(!c.all_zero());
+        c.decrement(0b001, 0);
+        assert!(c.all_zero());
+        assert_eq!(c, DisablingCounters::new());
     }
 
     #[test]

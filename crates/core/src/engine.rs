@@ -93,7 +93,6 @@ pub struct PkruEngine {
     // Static policy properties, cached at construction so the per-access
     // hot paths below skip virtual dispatch when the answer is constant.
     barrier_while_inflight: bool,
-    checks_can_fail: bool,
     faults_speculatively: bool,
     config: SpecMpkConfig,
     rob: RobPkru,
@@ -101,11 +100,11 @@ pub struct PkruEngine {
     rmt: Option<PkruTag>,
     counters: DisablingCounters,
     stats: PkruEngineStats,
-    // Precomputed per-pkey check outcomes (bit k set = the check *fails*
-    // for pkey k) plus the TLB-miss stall decision, refreshed at every
-    // state mutation. Sound because policy decisions are required to be
-    // pure functions of the `PolicyView`; this turns the per-access hot
-    // paths into single bit tests with no virtual dispatch.
+    // The policy's fail masks (bit k set = the check *fails* for pkey k)
+    // plus the TLB-miss stall decision, refreshed at every state
+    // mutation. Sound because policy decisions are required to be pure
+    // functions of the `PolicyView`; this turns the per-access hot paths
+    // into single bit tests with no virtual dispatch.
     load_fail_mask: u16,
     store_fail_mask: u16,
     tlb_stall_cached: bool,
@@ -120,7 +119,6 @@ impl PkruEngine {
         let mut engine = PkruEngine {
             policy,
             barrier_while_inflight: policy.rename_barrier_while_inflight(),
-            checks_can_fail: policy.speculative_checks_can_fail(),
             faults_speculatively: policy.faults_speculatively(),
             config,
             rob: RobPkru::new(capacity),
@@ -136,30 +134,14 @@ impl PkruEngine {
         engine
     }
 
-    /// Recomputes the cached per-pkey check masks and the TLB-miss stall
-    /// decision from the current rename state. Called after every mutation
-    /// of that state (WRPKRU execute/retire/squash, committed-PKRU reset),
-    /// so the hot-path checks below never consult the policy directly.
+    /// Recomputes the cached check masks and the TLB-miss stall decision
+    /// from the current rename state: three policy calls, each O(1).
+    /// Called after every mutation of that state (WRPKRU rename, execute,
+    /// retire and squash, committed-PKRU reset), so the hot-path checks
+    /// below never consult the policy directly.
     fn refresh_cached_checks(&mut self) {
-        if !self.checks_can_fail {
-            // Static property: no check of this policy ever fails.
-            self.load_fail_mask = 0;
-            self.store_fail_mask = 0;
-            self.tlb_stall_cached = false;
-            return;
-        }
-        let (mut load_fail, mut store_fail) = (0u16, 0u16);
-        for pkey in Pkey::all() {
-            let bit = 1u16 << pkey.index();
-            if !self.policy.load_check(self.view(), pkey) {
-                load_fail |= bit;
-            }
-            if !self.policy.store_check(self.view(), pkey) {
-                store_fail |= bit;
-            }
-        }
-        self.load_fail_mask = load_fail;
-        self.store_fail_mask = store_fail;
+        self.load_fail_mask = self.policy.load_fail_mask(self.view());
+        self.store_fail_mask = self.policy.store_fail_mask(self.view());
         self.tlb_stall_cached = self.policy.tlb_miss_must_stall(self.view());
     }
 
@@ -419,12 +401,7 @@ impl PkruEngine {
     /// entries, decrementing the counters of those that had executed, and
     /// restores `RMT_pkru`.
     pub fn restore(&mut self, checkpoint: PkruCheckpoint) {
-        let before = self.rob.len();
-        let undone = self.rob.squash_from(checkpoint.first_squashed);
-        for (ad, wd) in undone {
-            self.counters.decrement(ad, wd);
-        }
-        self.stats.wrpkru_squashed += (before - self.rob.len()) as u64;
+        self.squash_from(checkpoint.first_squashed);
         self.rmt = checkpoint.rmt;
         self.policy.on_restore();
         self.refresh_cached_checks();
@@ -434,16 +411,20 @@ impl PkruEngine {
     /// flush (a fault reaching retirement). Every in-flight WRPKRU is
     /// younger than the faulting head instruction, so all of them squash.
     pub fn flush_speculative(&mut self) {
-        let oldest = PkruTag(0);
-        let before = self.rob.len();
-        let undone = self.rob.squash_from(oldest);
-        for (ad, wd) in undone {
-            self.counters.decrement(ad, wd);
-        }
-        self.stats.wrpkru_squashed += (before - self.rob.len()) as u64;
+        self.squash_from(PkruTag(0));
         self.rmt = None;
         self.policy.on_flush();
         self.refresh_cached_checks();
+    }
+
+    /// Removes every `ROB_pkru` entry with tag ≥ `first_squashed`,
+    /// decrementing the counters of those that had executed.
+    fn squash_from(&mut self, first_squashed: PkruTag) {
+        let before = self.rob.len();
+        for (ad, wd) in self.rob.squash_from(first_squashed) {
+            self.counters.decrement(ad, wd);
+        }
+        self.stats.wrpkru_squashed += (before - self.rob.len()) as u64;
     }
 
     /// Records one frontend stall cycle attributable to a full `ROB_pkru`.

@@ -11,7 +11,13 @@
 //! # Registering a fourth policy
 //!
 //! 1. Define a (typically zero-sized) type and implement
-//!    [`PermissionPolicy`] for it.
+//!    [`PermissionPolicy`] for it. The PKRU checks are whole-key bitmaps:
+//!    [`load_fail_mask`](PermissionPolicy::load_fail_mask) and
+//!    [`store_fail_mask`](PermissionPolicy::store_fail_mask) set bit *k*
+//!    when the check fails for pkey *k*. The engine calls them, and
+//!    [`tlb_miss_must_stall`](PermissionPolicy::tlb_miss_must_stall), once
+//!    per change of its state and answers every access from the cached
+//!    result, so each must be a pure function of the [`PolicyView`].
 //! 2. Give it a `static` instance and a [`PolicyRef`] constant.
 //! 3. Add that constant to [`registry::ALL`].
 //!
@@ -117,17 +123,6 @@ pub trait PermissionPolicy: fmt::Debug + Sync {
         false
     }
 
-    /// Whether [`load_check`](Self::load_check),
-    /// [`store_check`](Self::store_check) or
-    /// [`tlb_miss_must_stall`](Self::tlb_miss_must_stall) can ever answer
-    /// "stall". A static property of the policy, cached by the engine so
-    /// the per-access hot paths skip virtual dispatch for policies whose
-    /// checks always pass. Must be `true` whenever any check can fail in
-    /// any state; the conservative default keeps new policies correct.
-    fn speculative_checks_can_fail(&self) -> bool {
-        true
-    }
-
     /// Whether [`fault_check_speculative`](Self::fault_check_speculative)
     /// can ever return an error. A static property of the policy, cached
     /// by the engine so policies that never fault speculatively (the
@@ -153,13 +148,15 @@ pub trait PermissionPolicy: fmt::Debug + Sync {
         }
     }
 
-    /// The **PKRU Load Check** (§V-C2): may a load to a page colored
-    /// `pkey` execute speculatively and update microarchitectural state?
-    fn load_check(&self, view: PolicyView<'_>, pkey: Pkey) -> bool;
+    /// The **PKRU Load Check** (§V-C2) for every pkey at once: bit *k* is
+    /// set when a load to a page colored pkey *k* may *not* execute
+    /// speculatively (it stalls to the Active-List head).
+    fn load_fail_mask(&self, view: PolicyView<'_>) -> u16;
 
-    /// The **PKRU Store Check** (§V-C2): may a store to `pkey` forward its
-    /// data to younger loads?
-    fn store_check(&self, view: PolicyView<'_>, pkey: Pkey) -> bool;
+    /// The **PKRU Store Check** (§V-C2) for every pkey at once: bit *k* is
+    /// set when a store to pkey *k* may *not* forward its data to younger
+    /// loads.
+    fn store_fail_mask(&self, view: PolicyView<'_>) -> u16;
 
     /// Whether a memory access that misses the TLB must stall to the
     /// Active-List head (§V-C5).
@@ -218,11 +215,6 @@ impl PermissionPolicy for Serialized {
         true
     }
 
-    /// No speculative window: nothing to check against.
-    fn speculative_checks_can_fail(&self) -> bool {
-        false
-    }
-
     /// Only when it would be the oldest in-flight instruction — the
     /// drain-before barrier.
     fn can_rename_wrpkru(&self, view: PolicyView<'_>, older_inflight: usize) -> bool {
@@ -234,12 +226,13 @@ impl PermissionPolicy for Serialized {
         older_inflight == 0 && view.window_empty()
     }
 
-    fn load_check(&self, _view: PolicyView<'_>, _pkey: Pkey) -> bool {
-        true
+    /// No speculative window: nothing to check against.
+    fn load_fail_mask(&self, _view: PolicyView<'_>) -> u16 {
+        0
     }
 
-    fn store_check(&self, _view: PolicyView<'_>, _pkey: Pkey) -> bool {
-        true
+    fn store_fail_mask(&self, _view: PolicyView<'_>) -> u16 {
+        0
     }
 
     fn tlb_miss_must_stall(&self, _view: PolicyView<'_>) -> bool {
@@ -280,11 +273,6 @@ impl PermissionPolicy for NonSecureSpec {
         512
     }
 
-    /// Deliberately unprotected: no check ever stalls an access.
-    fn speculative_checks_can_fail(&self) -> bool {
-        false
-    }
-
     fn can_rename_wrpkru(&self, view: PolicyView<'_>, _older_inflight: usize) -> bool {
         !view.window_full()
     }
@@ -294,12 +282,13 @@ impl PermissionPolicy for NonSecureSpec {
         true
     }
 
-    fn load_check(&self, _view: PolicyView<'_>, _pkey: Pkey) -> bool {
-        true
+    /// Deliberately unprotected: no check ever stalls an access.
+    fn load_fail_mask(&self, _view: PolicyView<'_>) -> u16 {
+        0
     }
 
-    fn store_check(&self, _view: PolicyView<'_>, _pkey: Pkey) -> bool {
-        true
+    fn store_fail_mask(&self, _view: PolicyView<'_>) -> u16 {
+        0
     }
 
     fn tlb_miss_must_stall(&self, _view: PolicyView<'_>) -> bool {
@@ -352,21 +341,22 @@ impl PermissionPolicy for SpecMpk {
         view.window_empty()
     }
 
-    /// Fails iff the WRPKRU-window contains *any* Access-Disable for the
-    /// key: `AccessDisableCounter > 0` or committed AD (covers all three
-    /// scenarios of Fig. 7).
-    fn load_check(&self, view: PolicyView<'_>, pkey: Pkey) -> bool {
-        view.counters().access_disable(pkey) == 0 && !view.committed().access_disabled(pkey)
+    /// Fails for a key iff the WRPKRU-window contains *any* Access-Disable
+    /// for it: `AccessDisableCounter > 0` or committed AD (covers all
+    /// three scenarios of Fig. 7).
+    fn load_fail_mask(&self, view: PolicyView<'_>) -> u16 {
+        view.counters().access_disable_mask() | view.committed().access_disable_bitmap()
     }
 
-    /// Fails iff either Disabling Counter for the key is non-zero or the
-    /// committed PKRU has AD *or* WD set — blocking the speculative
+    /// Fails for a key iff either Disabling Counter for it is non-zero or
+    /// the committed PKRU has AD *or* WD set — blocking the speculative
     /// store-to-load buffer-overflow channel (§III-C).
-    fn store_check(&self, view: PolicyView<'_>, pkey: Pkey) -> bool {
-        view.counters().access_disable(pkey) == 0
-            && view.counters().write_disable(pkey) == 0
-            && !view.committed().access_disabled(pkey)
-            && !view.committed().write_disabled(pkey)
+    fn store_fail_mask(&self, view: PolicyView<'_>) -> u16 {
+        let (counters, committed) = (view.counters(), view.committed());
+        counters.access_disable_mask()
+            | counters.write_disable_mask()
+            | committed.access_disable_bitmap()
+            | committed.write_disable_bitmap()
     }
 
     /// With the pkey unknown before the walk, any disabling permission
@@ -505,11 +495,8 @@ mod tests {
 
     #[test]
     fn static_properties_match_the_paper_policies() {
-        // The engine caches these to skip virtual dispatch; a wrong value
+        // The engine caches this to skip virtual dispatch; a wrong value
         // silently disables a check, so pin each one.
-        assert!(!PolicyRef::SERIALIZED.speculative_checks_can_fail());
-        assert!(!PolicyRef::NONSECURE_SPEC.speculative_checks_can_fail());
-        assert!(PolicyRef::SPEC_MPK.speculative_checks_can_fail());
         assert!(PolicyRef::SERIALIZED.faults_speculatively());
         assert!(PolicyRef::NONSECURE_SPEC.faults_speculatively());
         assert!(!PolicyRef::SPEC_MPK.faults_speculatively());

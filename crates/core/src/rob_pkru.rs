@@ -159,21 +159,17 @@ impl RobPkru {
         Some((e.tag, value, e.ad_bitmap, e.wd_bitmap))
     }
 
-    /// Removes every entry with tag ≥ `first_squashed`, returning the
-    /// `(ad, wd)` bitmaps of the *executed* squashed entries so the caller
-    /// can decrement the Disabling Counters (squash path of §V-C1).
-    pub fn squash_from(&mut self, first_squashed: PkruTag) -> Vec<(u16, u16)> {
-        let mut undone = Vec::new();
-        while let Some(back) = self.entries.back() {
-            if back.tag < first_squashed {
-                break;
-            }
-            let e = self.entries.pop_back().expect("back exists");
-            if e.value.is_some() {
-                undone.push((e.ad_bitmap, e.wd_bitmap));
-            }
-        }
-        undone
+    /// Removes every entry with tag ≥ `first_squashed`, yielding the
+    /// `(ad, wd)` bitmaps of the *executed* squashed entries, oldest first,
+    /// so the caller can decrement the Disabling Counters (squash path of
+    /// §V-C1). The entries are removed even if the iterator is dropped
+    /// unconsumed.
+    pub fn squash_from(
+        &mut self,
+        first_squashed: PkruTag,
+    ) -> impl Iterator<Item = (u16, u16)> + '_ {
+        let keep = self.entries.partition_point(|e| e.tag < first_squashed);
+        self.entries.drain(keep..).filter(|e| e.value.is_some()).map(|e| (e.ad_bitmap, e.wd_bitmap))
     }
 
     /// The sequence number the *next* allocation will receive — used by
@@ -237,7 +233,7 @@ mod tests {
         rob.set_value(t0, Pkru::ALL_ACCESS, 0b01, 0);
         rob.set_value(t1, Pkru::ALL_ACCESS, 0b10, 0b10);
         // t2 never executed. Squash everything from t1 on.
-        let undone = rob.squash_from(t1);
+        let undone: Vec<_> = rob.squash_from(t1).collect();
         assert_eq!(undone, vec![(0b10, 0b10)]);
         assert_eq!(rob.len(), 1);
         assert_eq!(rob.youngest(), Some(t0));
@@ -248,7 +244,7 @@ mod tests {
         let mut rob = RobPkru::new(4);
         let _ = rob.allocate().unwrap();
         let next = rob.next_tag();
-        assert!(rob.squash_from(next).is_empty());
+        assert_eq!(rob.squash_from(next).count(), 0);
         assert_eq!(rob.len(), 1);
     }
 

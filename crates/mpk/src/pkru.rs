@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::{Pkey, ProtectionFault, NUM_PKEYS};
+use crate::{Pkey, ProtectionFault};
 
 /// The kind of a memory access, as seen by the MPK permission check.
 ///
@@ -229,27 +229,29 @@ impl Pkru {
     /// retiring/squashing WRPKRU can decrement the counters it incremented
     /// (paper §V-C1).
     #[must_use]
+    #[inline]
     pub fn access_disable_bitmap(self) -> u16 {
-        let mut bm = 0u16;
-        for k in 0..NUM_PKEYS {
-            if self.0 & (1 << (2 * k)) != 0 {
-                bm |= 1 << k;
-            }
-        }
-        bm
+        gather_even_bits(self.0)
     }
 
     /// The set of pkeys whose WD bit is set, as a 16-bit bitmap.
     #[must_use]
+    #[inline]
     pub fn write_disable_bitmap(self) -> u16 {
-        let mut bm = 0u16;
-        for k in 0..NUM_PKEYS {
-            if self.0 & (1 << (2 * k + 1)) != 0 {
-                bm |= 1 << k;
-            }
-        }
-        bm
+        gather_even_bits(self.0 >> 1)
     }
+}
+
+/// Packs bits 0, 2, …, 30 of `x` into bits 0–15: each step merges
+/// neighbouring groups of kept bits (groups of 1 → 2 → 4 → 8 → 16).
+#[inline]
+fn gather_even_bits(x: u32) -> u16 {
+    let x = x & 0x5555_5555;
+    let x = (x | (x >> 1)) & 0x3333_3333;
+    let x = (x | (x >> 2)) & 0x0F0F_0F0F;
+    let x = (x | (x >> 4)) & 0x00FF_00FF;
+    let x = (x | (x >> 8)) & 0x0000_FFFF;
+    x as u16
 }
 
 impl fmt::Display for Pkru {

@@ -58,15 +58,22 @@ proptest! {
         prop_assert_eq!(updated.permission(b), pkru.permission(b));
     }
 
-    /// The AD/WD bitmaps agree with the per-key predicates.
+    /// The AD/WD bitmaps agree with the per-key predicates and with the
+    /// SDM bit layout (key k's AD at bit 2k, WD at bit 2k + 1).
     #[test]
     fn bitmaps_match_predicates(pkru in arb_pkru()) {
         let ad = pkru.access_disable_bitmap();
         let wd = pkru.write_disable_bitmap();
+        let (mut ad_ref, mut wd_ref) = (0u16, 0u16);
         for key in Pkey::all() {
-            prop_assert_eq!(ad & (1 << key.index()) != 0, pkru.access_disabled(key));
-            prop_assert_eq!(wd & (1 << key.index()) != 0, pkru.write_disabled(key));
+            let k = key.index();
+            prop_assert_eq!(ad & (1 << k) != 0, pkru.access_disabled(key));
+            prop_assert_eq!(wd & (1 << k) != 0, pkru.write_disabled(key));
+            ad_ref |= u16::from(pkru.bits() >> (2 * k) & 1 == 1) << k;
+            wd_ref |= u16::from(pkru.bits() >> (2 * k + 1) & 1 == 1) << k;
         }
+        prop_assert_eq!(ad, ad_ref);
+        prop_assert_eq!(wd, wd_ref);
         prop_assert_eq!(ad != 0, pkru.any_access_disabled());
         prop_assert_eq!(wd != 0, pkru.any_write_disabled());
     }

@@ -124,6 +124,13 @@ impl SimConfig {
         self
     }
 
+    /// Capacity of the frontend queue between fetch and rename: four
+    /// fetch groups.
+    #[must_use]
+    pub fn frontend_queue_capacity(&self) -> usize {
+        self.width * 4
+    }
+
     /// Validates internal consistency.
     ///
     /// # Panics

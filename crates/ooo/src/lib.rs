@@ -69,5 +69,5 @@ pub use arch::{ArchState, FastForward};
 pub use checkpoint::Checkpoint;
 pub use config::{FaultMode, SimConfig};
 pub use pipeline::{Core, ExitReason, SimResult};
-pub use predictor::{BranchPredictor, PredictorConfig};
+pub use predictor::{BranchPredictor, PredictorConfig, RasRepairLog, MAX_GSHARE_BITS};
 pub use stats::{IntervalSample, RenameStall, SimHistograms, SimStats};

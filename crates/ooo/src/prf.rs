@@ -6,12 +6,6 @@ use specmpk_isa::{Reg, NUM_REGS};
 /// A physical register name.
 pub type PhysReg = u16;
 
-/// Snapshot of the rename map, taken per branch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RenameCheckpoint {
-    rmt: [PhysReg; NUM_REGS],
-}
-
 /// The register-renaming apparatus: PRF with ready bits, a free list, the
 /// speculative Rename Map Table and the committed Architectural Map Table.
 ///
@@ -118,24 +112,15 @@ impl RegFile {
         self.free.push(phys);
     }
 
-    /// Takes a checkpoint of the speculative map.
-    #[must_use]
-    pub fn checkpoint(&self) -> RenameCheckpoint {
-        RenameCheckpoint { rmt: self.rmt }
-    }
-
-    /// Restores the speculative map from a checkpoint. The caller must
-    /// separately [`release`](Self::release) the registers allocated by the
-    /// squashed instructions (walked off the Active List).
-    pub fn restore(&mut self, cp: &RenameCheckpoint) {
-        self.rmt = cp.rmt;
-    }
-
-    /// Re-installs a single mapping after a checkpoint restore — used for
-    /// a mispredicting branch's *own* destination (e.g. a `jal` link
-    /// register), which renamed after its checkpoint was taken.
-    pub fn restore_mapping(&mut self, reg: Reg, phys: PhysReg) {
-        self.rmt[reg.index()] = phys;
+    /// Undoes the [`rename_dest`](Self::rename_dest) that returned
+    /// `(new, prev)` for `reg`: maps `reg` back to `prev` and frees `new`.
+    /// Undoing squashed renames youngest-first walks the map back to what
+    /// the oldest surviving instruction saw, with no per-branch copy.
+    #[inline]
+    pub fn unrename(&mut self, reg: Reg, new: PhysReg, prev: PhysReg) {
+        debug_assert_eq!(self.rmt[reg.index()], new, "{reg} was renamed again since");
+        self.rmt[reg.index()] = prev;
+        self.release(new);
     }
 
     /// Full-pipeline flush: the speculative map collapses to the committed
@@ -151,12 +136,13 @@ impl RegFile {
         }
     }
 
-    /// The free list and the Architectural Map Table, for the pipeline's
-    /// register-conservation audit.
+    /// The free list, the Architectural Map Table and the Rename Map
+    /// Table, for the pipeline's register-conservation and rename-map
+    /// audits.
     #[cfg(debug_assertions)]
     #[must_use]
-    pub fn free_and_committed(&self) -> (&[PhysReg], &[PhysReg; NUM_REGS]) {
-        (&self.free, &self.amt)
+    pub fn free_and_maps(&self) -> (&[PhysReg], &[PhysReg; NUM_REGS], &[PhysReg; NUM_REGS]) {
+        (&self.free, &self.amt, &self.rmt)
     }
 
     /// The committed value of a logical register (valid between retires).
@@ -212,13 +198,14 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_restore_roundtrip() {
+    fn youngest_first_unrename_walks_the_map_back() {
         let mut rf = RegFile::new(64);
-        let cp = rf.checkpoint();
-        let (new, _) = rf.rename_dest(Reg::T3).unwrap();
-        assert_eq!(rf.map_source(Reg::T3), new);
-        rf.restore(&cp);
-        rf.release(new);
+        let (n1, p1) = rf.rename_dest(Reg::T3).unwrap();
+        let (n2, p2) = rf.rename_dest(Reg::T3).unwrap();
+        assert_eq!((p2, rf.map_source(Reg::T3)), (n1, n2));
+        rf.unrename(Reg::T3, n2, p2);
+        assert_eq!(rf.map_source(Reg::T3), n1);
+        rf.unrename(Reg::T3, n1, p1);
         assert_eq!(rf.map_source(Reg::T3), Reg::T3.index() as PhysReg);
         assert_eq!(rf.free_count(), 32);
     }

@@ -10,7 +10,7 @@ pub(crate) fn fetch<S: TraceSink>(st: &mut PipelineState, cx: &mut StageCtx<'_, 
     if st.cycle < st.fetch_busy_until {
         return;
     }
-    let capacity = st.config.width * 4;
+    let capacity = st.config.frontend_queue_capacity();
     for _ in 0..st.config.width {
         if st.frontq.len() >= capacity {
             break;
@@ -54,7 +54,7 @@ pub(crate) fn fetch<S: TraceSink>(st: &mut PipelineState, cx: &mut StageCtx<'_, 
             Instr::Jump { target } => target,
             Instr::Jal { rd, target } => {
                 if rd == Reg::RA {
-                    st.predictor.ras_push(fallthrough);
+                    st.predictor.ras_push_logged(&mut st.ras_log, fallthrough);
                 }
                 target
             }
@@ -63,14 +63,14 @@ pub(crate) fn fetch<S: TraceSink>(st: &mut PipelineState, cx: &mut StageCtx<'_, 
                     st.predictor.ras_pop()
                 } else {
                     if rd == Reg::RA {
-                        st.predictor.ras_push(fallthrough);
+                        st.predictor.ras_push_logged(&mut st.ras_log, fallthrough);
                     }
                     st.predictor.btb_lookup(pc).unwrap_or(fallthrough)
                 }
             }
             _ => fallthrough,
         };
-        let pred_cp = instr.is_control().then(|| st.predictor.checkpoint());
+        let pred_cp = instr.is_control().then(|| st.predictor.checkpoint(&st.ras_log));
         st.work = true;
         st.frontq.push_back(Fetched {
             pc,

@@ -79,8 +79,8 @@ use specmpk_trace::TraceSink;
 use crate::active_list::ActiveList;
 use crate::config::SimConfig;
 use crate::pipeline::ExitReason;
-use crate::predictor::{BranchPredictor, PredictorCheckpoint};
-use crate::prf::{PhysReg, RegFile, RenameCheckpoint};
+use crate::predictor::{BranchPredictor, PredictorCheckpoint, RasRepairLog};
+use crate::prf::{PhysReg, RegFile};
 use crate::stats::{RenameStall, SimStats};
 
 /// Monotone dynamic-instruction sequence number (assigned at rename).
@@ -101,11 +101,12 @@ pub(crate) struct Fetched {
     pub(crate) ready_cycle: u64,
 }
 
+/// A control instruction's recovery state. The rename map needs none: a
+/// squash walks it back through the victims' `(reg, new, prev)` triples.
 #[derive(Debug, Clone)]
 pub(crate) struct BranchInfo {
     pub(crate) pred_next: u64,
     pub(crate) pht_index: Option<usize>,
-    pub(crate) rename_cp: RenameCheckpoint,
     pub(crate) pkru_cp: PkruCheckpoint,
     pub(crate) pred_cp: PredictorCheckpoint,
     /// Resolved direction, for retire-time training.
@@ -179,7 +180,9 @@ pub(crate) struct IqEntry {
 }
 
 impl IqEntry {
-    /// The select entry of the live Active-List entry at `slot`.
+    /// The select entry of the live Active-List entry at `slot`. Inlined
+    /// so rename and wake-up build it in place in the ready queue.
+    #[inline]
     pub(crate) fn of(al: &ActiveList, slot: usize) -> Self {
         IqEntry {
             seq: al.seq[slot],
@@ -235,6 +238,10 @@ pub(crate) struct PipelineState {
     pub(crate) rf: RegFile,
     pub(crate) engine: PkruEngine,
     pub(crate) predictor: BranchPredictor,
+    /// Undo log of fetch's RAS pushes, replayed by a squash. It lives here
+    /// rather than in the predictor so a checkpoint boot, which replaces
+    /// the predictor, keeps it, and the functional engine never has one.
+    pub(crate) ras_log: RasRepairLog,
     pub(crate) program: Program,
 
     pub(crate) cycle: u64,
@@ -313,6 +320,7 @@ impl PipelineState {
             rf,
             engine,
             predictor: BranchPredictor::new(config.predictor),
+            ras_log: RasRepairLog::new(config.active_list_size + config.frontend_queue_capacity()),
             program: program.clone(),
             cycle: 0,
             next_seq: 0,
@@ -375,9 +383,10 @@ impl PipelineState {
     /// Per-cycle audit, run by [`Core::step`](crate::Core::step) after
     /// every cycle in debug builds. The ready queue, the occupancy counts,
     /// the wake-up scoreboard, the store queue, the physical-register
-    /// owners and the `ROB_pkru` occupancy are all derived state: each must
-    /// agree with the Active List, the register file and the PKRU engine,
-    /// because a drift would not crash — it would silently change timing.
+    /// owners, the rename map and the `ROB_pkru` occupancy are all derived
+    /// state: each must agree with the Active List, the register file and
+    /// the PKRU engine, because a drift would not crash — it would
+    /// silently change timing or values.
     ///
     /// It runs after every cycle of every debug test, so it walks plain
     /// slices with index loops: unoptimized code pays a call for every
@@ -391,7 +400,7 @@ impl PipelineState {
         let (mut queued, mut ready, mut loads, mut stores) = (0usize, 0usize, 0usize, 0usize);
         // Owners of each physical register: free, committed (mapped in
         // the AMT) and in flight (the new destination of a live entry).
-        let (free, amt) = self.rf.free_and_committed();
+        let (free, amt, rmt) = self.rf.free_and_maps();
         let mut owners = vec![[0u8; 3]; self.config.prf_size];
         let mut k = 0;
         while k < free.len() {
@@ -403,6 +412,9 @@ impl PipelineState {
             owners[usize::from(amt[k])][1] += 1;
             k += 1;
         }
+        // The rename map each logical register should hold: the newest live
+        // writer's destination, else the committed mapping.
+        let mut youngest_writer = *amt;
         let mut wrpkrus = 0usize;
         let mut i = 0;
         while i < al.len() {
@@ -413,8 +425,9 @@ impl PipelineState {
                 Some(MemKind::Store) => stores += 1,
                 None => {}
             }
-            if let Some((_, new, _)) = al.dest[slot] {
+            if let Some((reg, new, _)) = al.dest[slot] {
                 owners[usize::from(new)][2] += 1;
+                youngest_writer[reg.index()] = new;
             }
             wrpkrus += usize::from(al.pkru_tag[slot].is_some());
             if !matches!(state[slot], AlState::Queued) {
@@ -482,6 +495,16 @@ impl PipelineState {
                 "cycle {cycle}: p{p} is free {f}×, committed {c}×, in flight {d}×"
             );
             p += 1;
+        }
+        let mut r = 0;
+        while r < rmt.len() {
+            assert!(
+                rmt[r] == youngest_writer[r],
+                "cycle {cycle}: r{r} maps to p{}, its youngest live writer to p{}",
+                rmt[r],
+                youngest_writer[r]
+            );
+            r += 1;
         }
         let capacity = self.config.policy.rob_pkru_capacity(&self.config.specmpk);
         let inflight = self.engine.inflight();

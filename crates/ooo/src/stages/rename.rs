@@ -141,7 +141,6 @@ pub(crate) fn rename<S: TraceSink>(st: &mut PipelineState, cx: &mut StageCtx<'_,
         let branch = instr.is_control().then(|| super::BranchInfo {
             pred_next: f.pred_next,
             pht_index: f.pht_index,
-            rename_cp: st.rf.checkpoint(),
             pkru_cp: st.engine.checkpoint(),
             pred_cp: f.pred_cp.expect("control instructions carry a fetch-time snapshot"),
             resolved_taken: None,

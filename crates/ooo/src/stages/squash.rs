@@ -60,11 +60,13 @@ pub(crate) fn squash_after<S: TraceSink>(
             rob: st.al.len() as u64,
         });
     }
-    // Drop younger AL entries, freeing their resources (reverse order).
+    // Drop younger AL entries youngest-first, freeing their resources.
+    // Undoing each victim's rename in this order walks the rename map back
+    // to exactly what the squashing instruction saw after its own rename.
     while st.al.len() > idx + 1 {
         let victim = st.al.pop_back();
-        if let Some((_, new, _)) = st.al.dest[victim] {
-            st.rf.release(new);
+        if let Some((reg, new, prev)) = st.al.dest[victim] {
+            st.rf.unrename(reg, new, prev);
         }
         if cx.sink.enabled() {
             if let Some(tag) = st.al.pkru_tag[victim] {
@@ -101,32 +103,17 @@ pub(crate) fn squash_after<S: TraceSink>(
     st.events.retain(|e| e.seq <= cut);
     st.fused_pending.retain(|&s| s <= cut);
     st.frontq.clear();
-    // Restore speculative state from the branch's checkpoints, then
-    // re-apply the branch's own effects (its checkpoint was taken
-    // *before* it renamed). Borrowing the cold sidecar in place avoids
-    // cloning the checkpoints (two Vecs plus the rename map) per squash.
-    {
-        let info = st.al.cold[slot].branch.as_ref().expect("branch info");
-        st.rf.restore(&info.rename_cp);
-    }
-    if let Some((reg, new, _)) = st.al.dest[slot] {
-        // Re-install the branch's own destination mapping (jal link):
-        // the rename checkpoint was taken before the branch renamed its
-        // destination, so put the mapping back.
-        st.rf.restore_mapping(reg, new);
-    }
-    {
-        let info = st.al.cold[slot].branch.as_ref().expect("branch info");
-        st.engine.restore(info.pkru_cp);
-        st.predictor.restore(&info.pred_cp);
-        // The restored history contains the *predicted* direction of this
-        // branch; patch in the resolved one.
-        if let Some(taken) = info.resolved_taken {
-            st.predictor.set_last_history_bit(taken);
-        }
+    // Restore the PKRU and predictor state from the branch's checkpoints.
+    let info = st.al.cold[slot].branch.as_mut().expect("branch info");
+    st.engine.restore(info.pkru_cp);
+    st.predictor.restore(&mut st.ras_log, info.pred_cp);
+    // The restored history contains the *predicted* direction of this
+    // branch; patch in the resolved one.
+    if let Some(taken) = info.resolved_taken {
+        st.predictor.set_last_history_bit(taken);
     }
     // Record the corrected fall-through so retire does not re-squash.
-    st.al.cold[slot].branch.as_mut().expect("branch info").pred_next = redirect_to;
+    info.pred_next = redirect_to;
     st.fetch_pc = Some(redirect_to);
     st.last_fetch_line = None;
     st.fetch_busy_until = st.cycle + 1;

@@ -72,9 +72,19 @@ mutant issue-width-plus-one "$issue" \
 mutant squash-keeps-lq-entry "$squash" \
     'st.lq_len -= 1;' '' \
     -p specmpk-ooo --test differential
-mutant squash-leaks-register "$squash" \
-    'st.rf.release(new);' 'let _ = new;' \
+mutant squash-leaks-register crates/ooo/src/prf.rs \
+    'self.release(new);' 'let _ = new;' \
     -p specmpk-ooo --test differential
+mutant walk-back-oldest-first "$squash" \
+    $'while st.al.len() > idx + 1 {\n        let victim = st.al.pop_back();' \
+    $'for victim in (idx + 1..st.al.len()).map(|i| st.al.slot_of(i)).collect::<Vec<_>>() {\n        st.al.pop_back();' \
+    -p specmpk-ooo --test differential
+mutant counter-mask-stays-set crates/core/src/counters.rs \
+    'self.access_disable_mask &= !(1 << k);' '' \
+    -p specmpk-core --lib engine::tests::retirement_drains_counters_and_commits
+mutant ras-restore-skips-replay crates/ooo/src/predictor.rs \
+    'self.ras[slot] = old;' 'let _ = (slot, old);' \
+    -p specmpk-ooo --lib predictor::tests::restore_undoes_a_push_over_a_popped_slot
 mutant no-fetch-after-transfer crates/ooo/src/arch.rs \
     $'fx.fetch(mem, pc);\n            loop {' $'if left == n {\n                fx.fetch(mem, pc);\n            }\n            loop {' \
     --test fast_forward warmup_goldens
