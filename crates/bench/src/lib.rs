@@ -1,17 +1,16 @@
 //! Shared helpers for the Criterion benchmark harness.
 //!
-//! `cargo bench -p specmpk-bench` runs three suites:
+//! `cargo bench -p specmpk-bench` runs five suites, all measuring host
+//! cost (the simulated numbers live in the `specmpk-experiments`
+//! artifacts, including the `ablations` sweep):
 //!
-//! * **`paper_figures`** — one benchmark group per paper table/figure.
-//!   Each group simulates a *reduced* version of the experiment (so the
-//!   whole suite terminates in minutes) and prints the figure's headline
-//!   numbers once, outside the measured region; the measured quantity is
-//!   the host cost of regenerating that figure's data point.
+//! * **`sim_kips`** — the detailed core per WRPKRU policy.
+//! * **`functional_kips`** — functional fast-forward against the detailed
+//!   core, plus the checkpoint path.
 //! * **`microarch`** — throughput of the simulator's building blocks
 //!   (cache hierarchy, TLB, PKRU engine, branch predictor).
-//! * **`ablations`** — the design-choice costs `DESIGN.md` calls out:
-//!   `ROB_pkru` sizing, the serialized baseline, the conservative
-//!   TLB-miss stall, and store-forward blocking.
+//! * **`mem_hotpath`** — the flattened cache/TLB arrays and sparse memory.
+//! * **`trace_overhead`** — the observability layer's zero-cost claim.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,12 +23,6 @@ use specmpk_workloads::{standard_suite, Workload};
 
 /// Instruction budget for bench-sized simulations.
 pub const BENCH_INSTR: u64 = 20_000;
-
-/// Simulates `program` under `policy` for [`BENCH_INSTR`] instructions.
-#[must_use]
-pub fn simulate(program: &Program, policy: PolicyRef) -> SimStats {
-    simulate_n(program, policy, BENCH_INSTR)
-}
 
 /// Simulates `program` under `policy` for `n` instructions.
 #[must_use]
@@ -90,10 +83,4 @@ pub fn simulate_guest_profiled(program: &Program, policy: PolicyRef, n: u64) -> 
 #[must_use]
 pub fn dense_workload() -> Workload {
     standard_suite().into_iter().next().expect("suite non-empty")
-}
-
-/// A WRPKRU-sparse workload (the suite's mcf-SS) for contrast benches.
-#[must_use]
-pub fn sparse_workload() -> Workload {
-    standard_suite().into_iter().find(|w| w.profile.name == "505.mcf_r").expect("mcf present")
 }

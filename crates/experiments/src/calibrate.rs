@@ -4,7 +4,6 @@
 //! baked into `specmpk_workloads::profile::standard_profiles`.
 
 use specmpk_core::PolicyRef;
-use specmpk_experiments::artifact;
 use specmpk_ooo::{Core, SimConfig};
 use specmpk_trace::Json;
 use specmpk_workloads::{standard_profiles, Scheme, Workload, WorkloadProfile};
@@ -42,7 +41,9 @@ fn measure(profile: WorkloadProfile) -> f64 {
     r.stats.wrpkru_per_kilo_instr()
 }
 
-fn main() {
+/// Runs the grid search, prints the best rate per benchmark and returns
+/// the calibration rows.
+pub(crate) fn calibrate() -> Json {
     let grid: Vec<f64> = vec![
         0.002, 0.004, 0.008, 0.015, 0.025, 0.04, 0.06, 0.09, 0.13, 0.18, 0.25, 0.35, 0.5, 0.7, 0.9,
     ];
@@ -107,5 +108,5 @@ fn main() {
                 .with("density", best.3),
         );
     }
-    artifact::write("calibrate", Json::Arr(results));
+    Json::Arr(results)
 }

@@ -11,7 +11,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use specmpk_experiments::artifact;
 use specmpk_isa::SegmentPerms;
 use specmpk_mem::{MemConfig, MemorySystem};
 use specmpk_mpk::{Pkey, Recolor, VirtualDomain, VirtualDomainTable};
@@ -84,7 +83,8 @@ fn run_pattern(count: usize, skewed: bool) -> (f64, f64) {
     (per_switch, evict_rate)
 }
 
-fn main() {
+/// Runs the sweep, prints the traffic table and returns its rows.
+pub(crate) fn domain_virtualization() -> Json {
     println!("Domain virtualization (libmpk-style) — recolor traffic per domain switch");
     println!(
         "({SWITCHES} switches, {PAGES_PER_DOMAIN}-page domains, 15 allocatable hardware pkeys)"
@@ -113,11 +113,11 @@ fn main() {
                 .with("skewed_evict_rate", sk_evict),
         );
     }
-    artifact::write("domain_virtualization", Json::Arr(results));
     println!();
     println!("≤15 domains: zero steady-state traffic (every key fits).");
     println!(">15 domains, round-robin: LRU thrashes — every switch recolors");
     println!("  2×{PAGES_PER_DOMAIN} pages (evicted + mapped), the libmpk worst case.");
     println!("Skewed access keeps the hot domains resident: traffic stays low,");
     println!("  matching why ERIM's OpenSSL isolation costs only ~4.2%.");
+    Json::Arr(results)
 }

@@ -10,7 +10,7 @@
 //! `guest_profile_env()` caches on first read, so the enable must be
 //! set before any simulation in this process.
 
-use specmpk_experiments::{artifact, fig10_data};
+use specmpk_experiments::{artifact, find, Body};
 use specmpk_trace::{Json, GUEST_PROFILE_ENV};
 
 #[test]
@@ -19,11 +19,12 @@ fn guest_profile_artifact_is_byte_identical_across_runs_and_jobs() {
     std::env::set_var(GUEST_PROFILE_ENV, "1");
     std::env::set_var("SPECMPK_OUTPUT_DIR", &tmp);
     let path = tmp.join("guest_profile").join("fig10.json");
+    let Some(Body::Sweep(fig10)) = find("fig10").map(|e| &e.body) else { panic!("fig10 sweep") };
 
     let write_and_read = |jobs: &str| -> String {
         std::env::set_var(specmpk_par::JOBS_ENV, jobs);
-        let _ = fig10_data(2_000);
-        artifact::write_guest_profile("fig10");
+        let _ = fig10.run("fig10", 2_000);
+        artifact::write_guest_profile("fig10").expect("guest profile written");
         std::fs::read_to_string(&path).expect("guest profile artifact written")
     };
     let serial = write_and_read("1");

@@ -1,4 +1,4 @@
-//! Golden test: a figure artifact must be byte-identical whether the
+//! Golden test: a sweep artifact must be byte-identical whether the
 //! sweep fans out across a worker pool or runs serially. This is the
 //! contract that lets `scripts/ci.sh` validate parallel runs against the
 //! committed serial baselines.
@@ -8,33 +8,44 @@
 //! otherwise interleave it with unrelated tests.
 
 use specmpk_core::PolicyRef;
-use specmpk_experiments::{
-    artifact, fig10_data, run_policy_journaled, security_matrix_data_with_jobs, SecurityCell,
-};
+use specmpk_experiments::{find, run_policy_journaled, security_matrix_data, Body};
 use specmpk_par::par_map_with_jobs;
+use specmpk_trace::Json;
 use specmpk_workloads::standard_suite;
 
+/// fig10 is one run per workload; `rdpkru_study` covers the runner's
+/// other indexing paths: two binaries per workload and three rows per
+/// workload.
 #[test]
 fn fig10_artifact_is_byte_identical_across_jobs() {
     let budget = 2_000;
-    std::env::set_var(specmpk_par::JOBS_ENV, "1");
-    let serial = artifact::rows(&fig10_data(budget), |r| r.to_json()).dump();
-    std::env::set_var(specmpk_par::JOBS_ENV, "4");
-    let parallel = artifact::rows(&fig10_data(budget), |r| r.to_json()).dump();
-    std::env::remove_var(specmpk_par::JOBS_ENV);
-    assert!(!serial.is_empty());
-    assert_eq!(serial, parallel, "fig10 artifact differs between SPECMPK_JOBS=1 and 4");
+    for (name, rows_per_workload) in [("fig10", 1), ("rdpkru_study", 3)] {
+        let Some(Body::Sweep(sweep)) = find(name).map(|e| &e.body) else {
+            panic!("{name} is a sweep")
+        };
+        std::env::set_var(specmpk_par::JOBS_ENV, "1");
+        let serial = sweep.run(name, budget);
+        std::env::set_var(specmpk_par::JOBS_ENV, "4");
+        let parallel = sweep.run(name, budget);
+        std::env::remove_var(specmpk_par::JOBS_ENV);
+        let rows = serial.as_arr().expect("rows").len();
+        assert_eq!(
+            rows,
+            (sweep.workloads)().len() * rows_per_workload,
+            "{name}: rows per workload"
+        );
+        assert_eq!(serial.dump(), parallel.dump(), "{name} differs between SPECMPK_JOBS=1 and 4");
+    }
 }
 
 /// The security matrix attaches a `LeakObserver` to every attack × policy
 /// cell, so its artifact carries ledger counts and witness chains — all of
 /// which must be byte-identical whether the 9 cells run serially or across
-/// a pool. Uses the explicit-jobs entry point, so no env mutation.
+/// a pool. Passes the worker count explicitly, so no env mutation.
 #[test]
 fn security_matrix_artifact_is_byte_identical_across_jobs() {
-    let dump = |cells: &[SecurityCell]| artifact::rows(cells, SecurityCell::to_json).dump();
-    let serial = dump(&security_matrix_data_with_jobs(1));
-    let parallel = dump(&security_matrix_data_with_jobs(4));
+    let serial = Json::Arr(security_matrix_data(Some(1))).dump();
+    let parallel = Json::Arr(security_matrix_data(Some(4))).dump();
     assert!(serial.contains("\"verdict\": \"leak\""), "the matrix records the NonSecure leaks");
     assert_eq!(serial, parallel, "security matrix differs between 1 and 4 workers");
 }

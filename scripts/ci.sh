@@ -10,7 +10,9 @@
 #   fmt         cargo fmt --check          (skipped when rustfmt is absent)
 #   clippy      cargo clippy -D warnings   (skipped when clippy is absent)
 #   doc         cargo doc --no-deps with RUSTDOCFLAGS='-D warnings'
-#   experiments fast-subset experiment bins under the pinned budgets below
+#   experiments fast-subset experiments (`specmpk-experiments <name>`)
+#               under the pinned budgets below; the first failing run
+#               fails the stage
 #   report      specmpk-report --check baselines/ — regression gate
 #   obs-smoke   short sim with --progress/--profile/--journal on; checks
 #               heartbeat lines, the host_profile stats section, and the
@@ -20,7 +22,7 @@
 #               two identical --trace/--leak-ledger runs whose Konata and
 #               ledger files must match (cmp), with disassembly on every
 #               fetch line and a non-empty ledger
-#   security    security_matrix bin (every attack × every policy with the
+#   security    security_matrix experiment (every attack × every policy with the
 #               speculative-access ledger on), gated by `specmpk-report
 #               security --check` against baselines/security/verdicts.json
 #   checkpoint  fast-forward/checkpoint smoke: two --checkpoint saves must
@@ -44,7 +46,7 @@ cd "$(dirname "$0")/.."
 
 # Wall-clock bookkeeping (bash integer arithmetic on nanosecond stamps;
 # the container has no `bc` or `/usr/bin/time`). Collected per stage and
-# per experiment bin, printed as a summary table, and written to
+# per experiment, printed as a summary table, and written to
 # experiments_output/timing.json (the report gate only reads baselines/,
 # so the extra file is ignored by the regression check).
 now_ms() {
@@ -77,22 +79,30 @@ stage() {
 export SPECMPK_INSTR_BUDGET=100000
 export SPECMPK_FIG4_KINSTR=40
 
-FAST_BINS=(
+FAST_EXPERIMENTS=(
     table1 table2 table3 hw_overhead
     fig3 fig4 fig9 fig10 fig11 fig13
-    rdpkru_study domain_virtualization
+    rdpkru_study domain_virtualization ablations
 )
+
+# Runs one experiment and records its wall clock. `stage` calls its
+# callers from an `if`, where `set -e` does not apply, so a failing run
+# must be returned explicitly.
+run_experiment() {
+    local name="$1" start elapsed
+    start=$(now_ms)
+    cargo run -q --release -p specmpk-experiments -- "${name}" >/dev/null || return 1
+    elapsed=$(( $(now_ms) - start ))
+    BIN_NAMES+=("${name}")
+    BIN_MS+=("${elapsed}")
+    echo "    ${name}: ${elapsed} ms"
+}
 
 run_experiments() {
     rm -rf experiments_output
-    local bin start elapsed
-    for bin in "${FAST_BINS[@]}"; do
-        start=$(now_ms)
-        cargo run -q --release -p specmpk-experiments --bin "${bin}" >/dev/null
-        elapsed=$(( $(now_ms) - start ))
-        BIN_NAMES+=("${bin}")
-        BIN_MS+=("${elapsed}")
-        echo "    ${bin}: ${elapsed} ms"
+    local name
+    for name in "${FAST_EXPERIMENTS[@]}"; do
+        run_experiment "${name}" || return 1
     done
 }
 
@@ -179,16 +189,10 @@ stage doc env RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 # The policy × attack transient-leakage matrix: run every PoC under every
 # registered policy with the speculative-access ledger attached, then gate
 # the verdicts (and their ledger evidence) against the committed goldens.
-# The matrix bin runs after the report gate so security_matrix.json never
+# The matrix runs after the report gate so security_matrix.json never
 # enters the gated artifact set mid-transition.
 run_security() {
-    local bin=security_matrix start elapsed
-    start=$(now_ms)
-    cargo run -q --release -p specmpk-experiments --bin "${bin}" >/dev/null
-    elapsed=$(( $(now_ms) - start ))
-    BIN_NAMES+=("${bin}")
-    BIN_MS+=("${elapsed}")
-    echo "    ${bin}: ${elapsed} ms"
+    run_experiment security_matrix || return 1
     cargo run -q --release -p specmpk-report -- \
         security experiments_output/security_matrix.json \
         --check baselines/security/verdicts.json
@@ -247,7 +251,7 @@ printf '%-24s %10s\n' "stage" "ms"
 for i in "${!STAGE_NAMES[@]}"; do
     printf '%-24s %10s\n' "${STAGE_NAMES[$i]}" "${STAGE_MS[$i]}"
 done
-printf '%-24s %10s\n' "  experiment bin" "ms"
+printf '%-24s %10s\n' "  experiment" "ms"
 for i in "${!BIN_NAMES[@]}"; do
     printf '  %-22s %10s\n' "${BIN_NAMES[$i]}" "${BIN_MS[$i]}"
 done
