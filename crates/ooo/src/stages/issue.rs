@@ -1,11 +1,13 @@
-//! Issue: oldest-first select over the register-ready issue queue and
-//! issue-time execution, including the PKRU load/store checks (§V-C2).
+//! Issue: oldest-first select over the register-ready issue queue (an
+//! age-ordered list of load-port entries and one of the rest, walked
+//! merged by age) and issue-time execution, including the PKRU load/store
+//! checks (§V-C2).
 
-use specmpk_isa::{Instr, InstrClass, MemWidth, Operand};
+use specmpk_isa::{Instr, MemWidth, Operand};
 use specmpk_mpk::AccessKind;
 use specmpk_trace::{AccessDecision, HeadStallKind, PkruCheckKind, TraceEvent, TraceSink};
 
-use super::{AlState, FaultInfo, HeadStall, MemKind, PipelineState, Seq, StageCtx};
+use super::{unit, AlState, FaultInfo, HeadStall, IqEntry, MemKind, PipelineState, Seq, StageCtx};
 use crate::active_list::TouchedAccess;
 use crate::arch;
 
@@ -36,10 +38,9 @@ fn note_spec_access<S: TraceSink>(
 }
 
 pub(crate) fn issue<S: TraceSink>(st: &mut PipelineState, cx: &mut StageCtx<'_, S>) {
-    let mut alu_free = st.config.alu_units;
-    let mut load_free = st.config.load_ports;
-    let mut store_free = st.config.store_ports;
-    let mut branch_free = st.config.branch_units;
+    // Free units, indexed by `unit` class.
+    let c = &st.config;
+    let mut free = [c.alu_units, c.branch_units, c.load_ports, c.store_ports];
     let mut issued_total = 0usize;
 
     // Instructions fused at last cycle's rename would have sat at the IQ
@@ -49,119 +50,140 @@ pub(crate) fn issue<S: TraceSink>(st: &mut PipelineState, cx: &mut StageCtx<'_, 
     // negative.
     if !st.fused_pending.is_empty() {
         let n = st.fused_pending.len();
-        debug_assert!(n <= alu_free && n <= st.config.width);
-        alu_free -= n;
+        debug_assert!(n <= free[usize::from(unit::ALU)] && n <= st.config.width);
+        free[usize::from(unit::ALU)] -= n;
         issued_total += n;
         st.fused_pending.clear();
     }
 
-    // The IQ holds only register-ready entries, in seq (age) order:
-    // oldest-first select. Entries still waiting on a source register are
-    // not in it — they could not issue, and select has no side effect on
-    // them. Walk it once, compacting unissued entries down in place
-    // (single pass, no O(n) removals).
-    let len = st.iq.len();
-    let mut keep = 0usize;
-    let mut i = 0usize;
+    // The ready lists hold only register-ready entries, in seq (age)
+    // order. Entries still waiting on a source register are not in them —
+    // they could not issue, and select has no side effect on them. Select
+    // is oldest-first: it walks `loads` and `others` merged by age,
+    // compacting each list's unissued entries down in place. `loads`
+    // leaves the walk once the load ports are taken. That is exact: each
+    // entry it still holds would fail on its busy port before any other
+    // check, and visiting it would change nothing.
+    //
+    // Next unvisited entry and compacted length of each list.
+    let (mut li, mut lk, mut oi, mut ok) = (0usize, 0usize, 0usize, 0usize);
     // Seq of the oldest store whose address is still unknown (`Seq::MAX`
     // when every address is known): looked up at the first ready load and
     // dropped when a store issues, so loads do not each rescan the store
     // queue.
     let mut unknown_store: Option<Seq> = None;
-    while i < len {
-        if issued_total >= st.config.width {
+    while issued_total < st.config.width {
+        let (loads, others) = (&st.iq.loads, &st.iq.others);
+        let from_loads = li < loads.len()
+            && free[usize::from(unit::LOAD)] > 0
+            && (oi == others.len() || loads[li].seq < others[oi].seq);
+        let e = if from_loads {
+            loads[li]
+        } else if oi < others.len() {
+            others[oi]
+        } else {
             break;
-        }
-        let e = st.iq[i];
-        i += 1;
-        let slot = e.slot as usize;
-        debug_assert!(st.al.contains(slot, e.seq), "IQ entries are pruned on squash");
-        debug_assert_eq!(st.al.state[slot], AlState::Queued);
-        debug_assert!(
-            st.al.waits[slot] == 0 && e.srcs.as_slice().iter().all(|&p| st.rf.is_ready(p)),
-            "only register-ready entries are in the IQ"
-        );
-        let issued = 'select: {
-            // Functional-unit availability.
-            let unit = match e.class {
-                InstrClass::Alu | InstrClass::Wrpkru | InstrClass::Rdpkru => &mut alu_free,
-                InstrClass::Branch => &mut branch_free,
-                InstrClass::Load => &mut load_free,
-                InstrClass::Store => &mut store_free,
-                InstrClass::Halt => break 'select false,
-            };
-            if *unit == 0 {
-                break 'select false;
-            }
-            // PKRU source ready (orders memory ops and WRPKRUs behind all
-            // prior WRPKRUs — SpecMPK design principles 1 & 2)?
-            if let Some(src) = e.pkru_source {
-                if !st.engine.source_ready(src) {
-                    break 'select false;
-                }
-            }
-            // Loads additionally wait until all older store addresses are
-            // known (conservative memory-dependence handling). The store
-            // queue is in seq order, so its first unknown address is the
-            // oldest.
-            if e.kind == Some(MemKind::Load) {
-                let oldest = *unknown_store.get_or_insert_with(|| {
-                    st.sq.iter().find(|s| s.addr.is_none()).map_or(Seq::MAX, |s| s.seq)
-                });
-                if oldest < e.seq {
-                    break 'select false;
-                }
-            }
-            // `clflush` is ordered with respect to older stores to the same
-            // line (x86 SDM): it waits until any such store has drained
-            // from the store queue, so a store→clflush sequence really
-            // leaves the line uncached.
-            if e.kind == Some(MemKind::Flush) {
-                let Instr::Clflush { offset, .. } = st.al.instr[slot] else {
-                    unreachable!("flush kind implies clflush instr")
-                };
-                let addr = arch::effective_addr(st.rf.read(e.srcs.regs[0]), offset);
-                let line = specmpk_mem::line_base(addr);
-                if st.sq.iter().any(|s| {
-                    s.seq < e.seq && s.addr.is_none_or(|a| specmpk_mem::line_base(a) == line)
-                }) {
-                    break 'select false;
-                }
-            }
-            if !execute_at_issue(st, cx, slot, e.seq) {
-                break 'select false;
-            }
+        };
+        let unit = &mut free[usize::from(e.unit)];
+        let issued = *unit > 0 && select(st, cx, &e, &mut unknown_store);
+        if issued {
             *unit -= 1;
             issued_total += 1;
-            st.iq_len -= 1;
-            if e.kind == Some(MemKind::Store) {
-                // Its address is known now.
-                unknown_store = None;
-            }
-            if cx.sink.enabled() {
-                cx.sink.record(TraceEvent::Issue { seq: e.seq, cycle: st.cycle });
-            }
-            true
+        }
+        // Compact in place; in the hole-free prefix (nothing issued from
+        // the list yet) the entry is already where it belongs — skip the
+        // self-copy.
+        let (list, next, kept) = if from_loads {
+            (&mut st.iq.loads, &mut li, &mut lk)
+        } else {
+            (&mut st.iq.others, &mut oi, &mut ok)
         };
         if !issued {
-            // Compact in place; in the hole-free prefix (nothing issued
-            // yet) the entry is already where it belongs — skip the
-            // self-copy.
-            if keep != i - 1 {
-                st.iq[keep] = e;
+            if *kept != *next {
+                list[*kept] = e;
             }
-            keep += 1;
+            *kept += 1;
+        }
+        *next += 1;
+    }
+    // Entries past where a list's walk stopped are kept verbatim: one
+    // memmove instead of an element-wise loop.
+    for (list, next, kept) in [(&mut st.iq.loads, li, lk), (&mut st.iq.others, oi, ok)] {
+        if kept != next {
+            let len = list.len();
+            list.copy_within(next..len, kept);
+            list.truncate(kept + (len - next));
         }
     }
-    // Entries past a width-bound break are kept verbatim: one memmove
-    // instead of an element-wise loop.
-    if keep != i {
-        st.iq.copy_within(i..len, keep);
-    }
-    st.iq.truncate(keep + (len - i));
     if issued_total > 0 {
         st.work = true;
     }
+}
+
+/// Tries to issue the ready entry `e`, whose unit is free: checks the
+/// PKRU-source, memory-order and `clflush`-order rules, then executes it.
+/// Returns whether it issued.
+#[inline(always)]
+fn select<S: TraceSink>(
+    st: &mut PipelineState,
+    cx: &mut StageCtx<'_, S>,
+    e: &IqEntry,
+    unknown_store: &mut Option<Seq>,
+) -> bool {
+    let slot = e.slot as usize;
+    debug_assert!(st.al.contains(slot, e.seq), "IQ entries are pruned on squash");
+    debug_assert_eq!(st.al.state[slot], AlState::Queued);
+    debug_assert!(
+        st.al.waits[slot] == 0 && e.srcs.as_slice().iter().all(|&p| st.rf.is_ready(p)),
+        "only register-ready entries are in the IQ"
+    );
+    // PKRU source ready (orders memory ops and WRPKRUs behind all prior
+    // WRPKRUs — SpecMPK design principles 1 & 2)?
+    if let Some(src) = e.pkru_source {
+        if !st.engine.source_ready(src) {
+            return false;
+        }
+    }
+    // Loads additionally wait until all older store addresses are known
+    // (conservative memory-dependence handling). The store queue is in
+    // seq order, so its first unknown address is the oldest.
+    if e.kind == Some(MemKind::Load) {
+        let oldest = *unknown_store.get_or_insert_with(|| {
+            st.sq.iter().find(|s| s.addr.is_none()).map_or(Seq::MAX, |s| s.seq)
+        });
+        if oldest < e.seq {
+            return false;
+        }
+    }
+    // `clflush` is ordered with respect to older stores to the same line
+    // (x86 SDM): it waits until any such store has drained from the store
+    // queue, so a store→clflush sequence really leaves the line uncached.
+    if e.kind == Some(MemKind::Flush) {
+        let Instr::Clflush { offset, .. } = st.al.instr[slot] else {
+            unreachable!("flush kind implies clflush instr")
+        };
+        let addr = arch::effective_addr(st.rf.read(e.srcs.regs[0]), offset);
+        let line = specmpk_mem::line_base(addr);
+        if st
+            .sq
+            .iter()
+            .any(|s| s.seq < e.seq && s.addr.is_none_or(|a| specmpk_mem::line_base(a) == line))
+        {
+            return false;
+        }
+    }
+    if !execute_at_issue(st, cx, slot, e.seq) {
+        return false;
+    }
+    st.iq_len -= 1;
+    if e.kind == Some(MemKind::Store) {
+        // Its address is known now.
+        *unknown_store = None;
+    }
+    if cx.sink.enabled() {
+        cx.sink.record(TraceEvent::Issue { seq: e.seq, cycle: st.cycle });
+    }
+    true
 }
 
 /// Executes the instruction's issue-time work. Returns `false` if it

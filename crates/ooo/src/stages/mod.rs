@@ -71,7 +71,7 @@ pub(crate) mod span {
 use std::collections::VecDeque;
 
 use specmpk_core::{PkruCheckpoint, PkruEngine, PkruSource};
-use specmpk_isa::{Instr, InstrClass, MemWidth, Program, Reg};
+use specmpk_isa::{Instr, MemWidth, Program, Reg};
 use specmpk_mem::{MemorySystem, PageFault};
 use specmpk_mpk::{AccessKind, Pkey, ProtectionFault};
 use specmpk_trace::TraceSink;
@@ -173,7 +173,8 @@ impl SrcRegs {
 pub(crate) struct IqEntry {
     pub(crate) seq: Seq,
     pub(crate) slot: u32,
-    pub(crate) class: InstrClass,
+    /// The functional-unit class it issues to ([`unit`]).
+    pub(crate) unit: u8,
     pub(crate) kind: Option<MemKind>,
     pub(crate) srcs: SrcRegs,
     pub(crate) pkru_source: Option<PkruSource>,
@@ -187,11 +188,90 @@ impl IqEntry {
         IqEntry {
             seq: al.seq[slot],
             slot: slot as u32,
-            class: al.instr[slot].class(),
+            unit: unit::of(al.instr[slot].class()),
             kind: al.mem_kind[slot],
             srcs: al.srcs[slot],
             pkru_source: al.pkru_source[slot],
         }
+    }
+}
+
+/// Functional-unit classes: an [`IqEntry`]'s `unit`, and the index of
+/// its free-unit count in select.
+pub(crate) mod unit {
+    use specmpk_isa::InstrClass;
+
+    /// Integer ALUs (also WRPKRU and RDPKRU).
+    pub(crate) const ALU: u8 = 0;
+    pub(crate) const BRANCH: u8 = 1;
+    /// Load ports (loads and `clflush`es).
+    pub(crate) const LOAD: u8 = 2;
+    pub(crate) const STORE: u8 = 3;
+
+    /// The unit class an instruction of `class` issues to.
+    #[inline]
+    pub(crate) fn of(class: InstrClass) -> u8 {
+        match class {
+            InstrClass::Alu | InstrClass::Wrpkru | InstrClass::Rdpkru => ALU,
+            InstrClass::Branch => BRANCH,
+            InstrClass::Load => LOAD,
+            InstrClass::Store => STORE,
+            InstrClass::Halt => unreachable!("halt never enters the issue queue"),
+        }
+    }
+}
+
+/// The *register-ready* `Queued` entries, in two lists by the unit they
+/// issue to, each in seq (age) order: `loads` holds the entries that need
+/// a load port (loads and `clflush`es), `others` the rest. Select walks
+/// the two merged by age and stops walking `loads` once the load ports
+/// are taken, so entries that wait only for a port (a flush loop's
+/// `clflush`es queued behind two load ports) are not revisited and
+/// re-copied every cycle.
+#[derive(Debug, Default)]
+pub(crate) struct ReadyQueue {
+    pub(crate) loads: Vec<IqEntry>,
+    pub(crate) others: Vec<IqEntry>,
+}
+
+impl ReadyQueue {
+    #[inline]
+    fn list_mut(&mut self, unit: u8) -> &mut Vec<IqEntry> {
+        if unit == unit::LOAD {
+            &mut self.loads
+        } else {
+            &mut self.others
+        }
+    }
+
+    /// Appends the Active-List entry at `slot`, which is younger than
+    /// every queued entry (rename order).
+    #[inline]
+    pub(crate) fn push(&mut self, al: &ActiveList, slot: usize) {
+        let e = IqEntry::of(al, slot);
+        self.list_mut(e.unit).push(e);
+    }
+
+    /// Inserts the Active-List entry at `slot` at its age position (a
+    /// wake-up).
+    #[inline]
+    pub(crate) fn insert(&mut self, al: &ActiveList, slot: usize) {
+        let e = IqEntry::of(al, slot);
+        let list = self.list_mut(e.unit);
+        let at = list.partition_point(|x| x.seq < e.seq);
+        list.insert(at, e);
+    }
+
+    /// Drops every entry younger than `cut` (a squash).
+    pub(crate) fn truncate_after(&mut self, cut: Seq) {
+        for list in [&mut self.loads, &mut self.others] {
+            list.truncate(list.partition_point(|e| e.seq <= cut));
+        }
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.loads.clear();
+        self.others.clear();
     }
 }
 
@@ -251,13 +331,14 @@ pub(crate) struct PipelineState {
     pub(crate) last_fetch_line: Option<u64>,
     pub(crate) frontq: VecDeque<Fetched>,
     pub(crate) al: ActiveList,
-    /// The *register-ready* `Queued` entries, in seq (age) order: the
-    /// only ones select can pick. Rename appends entries that are ready
-    /// when they rename; [`PipelineState::write_phys`] inserts the rest
-    /// when their last source is written.
-    pub(crate) iq: Vec<IqEntry>,
+    /// The *register-ready* `Queued` entries, load-port ones apart, each
+    /// list in seq (age) order: the only ones select can pick. Rename
+    /// appends entries that are ready when they rename;
+    /// [`PipelineState::write_phys`] inserts the rest when their last
+    /// source is written.
+    pub(crate) iq: ReadyQueue,
     /// Issue-queue occupancy: every `Queued` entry, ready or not. The
-    /// IQ-full check and the fusion gate read this, not `iq.len()`.
+    /// IQ-full check and the fusion gate read this, not the ready lists.
     pub(crate) iq_len: usize,
     /// Load-queue occupancy (in-flight loads and `clflush`es).
     pub(crate) lq_len: usize,
@@ -329,7 +410,7 @@ impl PipelineState {
             last_fetch_line: None,
             frontq: VecDeque::new(),
             al: ActiveList::new(config.active_list_size),
-            iq: Vec::new(),
+            iq: ReadyQueue::default(),
             iq_len: 0,
             lq_len: 0,
             sq: Vec::new(),
@@ -371,8 +452,7 @@ impl PipelineState {
                 debug_assert!(self.al.waits[slot] > 0, "woken entry was not waiting");
                 self.al.waits[slot] -= 1;
                 if self.al.waits[slot] == 0 {
-                    let at = self.iq.partition_point(|e| e.seq < seq);
-                    self.iq.insert(at, IqEntry::of(&self.al, slot));
+                    self.iq.insert(&self.al, slot);
                 }
             }
         }
@@ -454,24 +534,32 @@ impl PipelineState {
             );
             ready += usize::from(unready == 0);
         }
-        let iq = &self.iq[..];
-        let mut k = 0;
-        while k < iq.len() {
-            let e = iq[k];
-            let slot = e.slot as usize;
-            assert!(
-                k == 0 || iq[k - 1].seq < e.seq,
-                "cycle {cycle}: the ready IQ is not strictly seq-ascending"
-            );
-            assert!(
-                al.contains(slot, e.seq)
-                    && matches!(state[slot], AlState::Queued)
-                    && waits[slot] == 0,
-                "cycle {cycle}: ready IQ entry seq {} is not a ready queued instruction",
-                e.seq
-            );
-            assert!(e == IqEntry::of(al, slot), "cycle {cycle}: stale IQ entry seq {}", e.seq);
-            k += 1;
+        let mut in_lists = 0usize;
+        for (loads, list) in [(true, &self.iq.loads[..]), (false, &self.iq.others[..])] {
+            in_lists += list.len();
+            let mut k = 0;
+            while k < list.len() {
+                let e = list[k];
+                let slot = e.slot as usize;
+                assert!(
+                    k == 0 || list[k - 1].seq < e.seq,
+                    "cycle {cycle}: a ready list is not strictly seq-ascending"
+                );
+                assert!(
+                    al.contains(slot, e.seq)
+                        && matches!(state[slot], AlState::Queued)
+                        && waits[slot] == 0,
+                    "cycle {cycle}: ready IQ entry seq {} is not a ready queued instruction",
+                    e.seq
+                );
+                assert!(
+                    (e.unit == unit::LOAD) == loads,
+                    "cycle {cycle}: seq {} is in the wrong ready list",
+                    e.seq
+                );
+                assert!(e == IqEntry::of(al, slot), "cycle {cycle}: stale IQ entry seq {}", e.seq);
+                k += 1;
+            }
         }
         let sq = &self.sq[..];
         let mut k = 1;
@@ -479,7 +567,7 @@ impl PipelineState {
             assert!(sq[k - 1].seq < sq[k].seq, "cycle {cycle}: the store queue is out of order");
             k += 1;
         }
-        assert!(iq.len() == ready, "cycle {cycle}: {} ready IQ entries, {ready} ready", iq.len());
+        assert!(in_lists == ready, "cycle {cycle}: {in_lists} ready IQ entries, {ready} ready");
         assert!(
             self.iq_len == queued,
             "cycle {cycle}: IQ occupancy {}, {queued} queued",

@@ -11,7 +11,7 @@
 use specmpk_isa::{AluOp, Instr, InstrClass, Operand};
 use specmpk_trace::{TraceEvent, TraceSink};
 
-use super::{AlState, IqEntry, MemKind, PipelineState, SqEntry, SrcRegs, StageCtx};
+use super::{AlState, MemKind, PipelineState, SqEntry, SrcRegs, StageCtx};
 use crate::stats::RenameStall;
 
 pub(crate) fn rename<S: TraceSink>(st: &mut PipelineState, cx: &mut StageCtx<'_, S>) {
@@ -238,7 +238,7 @@ pub(crate) fn rename<S: TraceSink>(st: &mut PipelineState, cx: &mut StageCtx<'_,
         if state == AlState::Queued {
             st.iq_len += 1;
             if waits == 0 {
-                st.iq.push(IqEntry::of(&st.al, slot));
+                st.iq.push(&st.al, slot);
             } else {
                 for &p in srcs.as_slice() {
                     if !st.rf.is_ready(p) {

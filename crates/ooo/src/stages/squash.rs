@@ -97,8 +97,9 @@ pub(crate) fn squash_after<S: TraceSink>(
         st.stats.squashed += 1;
     }
     let cut = seq;
-    // The ready IQ and the store queue are in seq order: cut their tails.
-    st.iq.truncate(st.iq.partition_point(|e| e.seq <= cut));
+    // The ready lists and the store queue are in seq order: cut their
+    // tails.
+    st.iq.truncate_after(cut);
     st.sq.truncate(st.sq.partition_point(|s| s.seq <= cut));
     st.events.retain(|e| e.seq <= cut);
     st.fused_pending.retain(|&s| s <= cut);

@@ -17,16 +17,21 @@
 //! is out of reach), so u64 stats round-trip exactly.
 //!
 //! Both directions are linear in the document size, which matters for
-//! checkpoints (hundreds of KiB, mostly 8 KiB hex page strings):
+//! checkpoints (hundreds of KiB, mostly 8 KiB hex page strings) and for
+//! ledgers (tens of MiB of JSONL):
 //!
 //! * the parser copies each run of plain string bytes up to the next `"`
 //!   or `\` in one step, and refuses documents nested deeper than
 //!   [`MAX_DEPTH`] with a "nesting too deep" [`JsonError`] instead of
 //!   overflowing the stack;
-//! * the writer appends into one caller-owned buffer — numbers are
-//!   formatted in place and unescaped string runs are copied whole — so
-//!   [`Json::write_compact`] streams many records (a JSONL file) into a
-//!   single `String` without a per-record allocation.
+//! * the writer appends into one caller-owned buffer without going
+//!   through `core::fmt` on its common paths: integers below 2^53 are
+//!   written two digits at a time and `"0x…"` hex a byte at a time, both
+//!   from `str` tables, and a string (a key or a value) is checked for
+//!   bytes that need escaping eight at a time, then copied whole. Only
+//!   fractional and huge numbers (2^53 and above) take the `f64`
+//!   `Display` path, so every byte stays what it was when all numbers
+//!   did.
 
 use std::fmt::{self, Write as _};
 
@@ -163,7 +168,9 @@ impl Json {
     /// whole 64-bit range, so they round-trip through this string form.
     #[must_use]
     pub fn hex(value: u64) -> Json {
-        Json::Str(format!("{value:#x}"))
+        let mut text = String::with_capacity(18);
+        write_hex(&mut text, value, 1);
+        Json::Str(text)
     }
 
     /// Decodes a value produced by [`Json::hex`].
@@ -326,13 +333,106 @@ fn push_indent(out: &mut String, indent: usize) {
     }
 }
 
+/// 2^53: integers below it are exact in an `f64`, and are the ones the
+/// writers render without the `f64` round trip.
+const EXACT_INT: u64 = 1 << 53;
+
+/// `table[2i..2i + 2]` is the two-digit text of `i` in base `radix`, for
+/// every `i` below `radix²`.
+const fn digit_pairs<const N: usize>(radix: usize) -> [u8; N] {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut table = [0u8; N];
+    let mut i = 0;
+    while i < N / 2 {
+        table[2 * i] = DIGITS[i / radix];
+        table[2 * i + 1] = DIGITS[i % radix];
+        i += 1;
+    }
+    table
+}
+
+/// Reads an ASCII table as text (checked once, at compile time).
+const fn ascii(bytes: &[u8]) -> &str {
+    match std::str::from_utf8(bytes) {
+        Ok(text) => text,
+        Err(_) => panic!("digit tables are ASCII"),
+    }
+}
+
+const DEC_BYTES: [u8; 200] = digit_pairs(10);
+const HEX_BYTES: [u8; 512] = digit_pairs(16);
+
+/// `"00" "01" … "99"`: the decimal digits of every number below 100.
+const DEC_PAIRS: &str = ascii(&DEC_BYTES);
+
+/// `"00" "01" … "ff"`: the lower-case hex digits of every byte.
+const HEX_PAIRS: &str = ascii(&HEX_BYTES);
+
+/// Appends the text of `i` from a pair table: two characters, or only
+/// the last when `single`. Each push has a constant length, so it is a
+/// store, not a copy loop, and the table is already `str`, so nothing is
+/// validated.
+#[inline(always)]
+fn push_pair(out: &mut String, table: &str, i: usize, single: bool) {
+    if single {
+        out.push_str(&table[2 * i + 1..2 * i + 2]);
+    } else {
+        out.push_str(&table[2 * i..2 * i + 2]);
+    }
+}
+
+/// Appends the decimal digits of `n`, two at a time from [`DEC_PAIRS`].
+fn write_digits(out: &mut String, mut n: u64) {
+    // Digit pairs below the leading one, least significant first.
+    let mut pairs = [0u8; 10];
+    let mut len = 0;
+    while n >= 100 {
+        pairs[len] = (n % 100) as u8;
+        n /= 100;
+        len += 1;
+    }
+    push_pair(out, DEC_PAIRS, n as usize, n < 10);
+    for &pair in pairs[..len].iter().rev() {
+        push_pair(out, DEC_PAIRS, usize::from(pair), false);
+    }
+}
+
+/// Appends `0x…`: `value` in lower-case hex, zero-padded to at least
+/// `min_digits` (≥ 1) nibbles, a byte at a time from [`HEX_PAIRS`].
+fn write_hex(out: &mut String, value: u64, min_digits: u32) {
+    let digits = (64 - value.leading_zeros()).div_ceil(4).max(min_digits);
+    out.push_str("0x");
+    // An odd nibble count leads with a single nibble.
+    let mut bytes = digits.div_ceil(2);
+    let lead = (value >> (8 * (bytes - 1))) as u8;
+    push_pair(out, HEX_PAIRS, usize::from(lead), digits % 2 == 1);
+    while bytes > 1 {
+        bytes -= 1;
+        push_pair(out, HEX_PAIRS, usize::from((value >> (8 * (bytes - 1))) as u8), false);
+    }
+}
+
+/// Appends a `u64` as [`Json::from`] would render it: exact digits below
+/// 2^53, the `f64` rendering from there up.
+#[inline]
+fn write_u64(out: &mut String, n: u64) {
+    if n < EXACT_INT {
+        write_digits(out, n);
+    } else {
+        write_number(out, n as f64);
+    }
+}
+
 fn write_number(out: &mut String, n: f64) {
     if !n.is_finite() {
         // JSON has no NaN/Inf; stats code should never produce them, but a
         // defensive null beats emitting an unparseable token.
         out.push_str("null");
-    } else if n.fract() == 0.0 && n.abs() < 9_007_199_254_740_992.0 {
-        write!(out, "{}", n as i64).expect("writing to a String cannot fail");
+    } else if n.fract() == 0.0 && n.abs() < EXACT_INT as f64 {
+        if n < 0.0 {
+            out.push('-');
+        }
+        write_digits(out, n.abs() as u64);
     } else {
         let start = out.len();
         write!(out, "{n}").expect("writing to a String cannot fail");
@@ -342,8 +442,67 @@ fn write_number(out: &mut String, n: f64) {
     }
 }
 
+/// Whether `bytes` holds no `"`, `\` or control byte, i.e. needs no
+/// escaping. Checks eight bytes per step: a word has a byte below `n`
+/// (for `n` ≤ 0x80) exactly when `(w - n·ONES) & !w & HIGHS` is nonzero,
+/// and a byte equal to `c` when the word XOR `c·ONES` has a byte below 1.
+/// Bytes of multi-byte UTF-8 characters are all ≥ 0x80 and never match.
+/// A partial last word is read overlapping the one before it (or, below
+/// eight bytes, as two overlapping halves), so only strings under four
+/// bytes are checked byte by byte. Always inlined: on a literal key the
+/// whole check folds away.
+#[inline(always)]
+fn is_plain(bytes: &[u8]) -> bool {
+    const ONES: u64 = u64::from_le_bytes([1; 8]);
+    const HIGHS: u64 = ONES * 0x80;
+    let below = |w: u64, n: u8| w.wrapping_sub(ONES * u64::from(n)) & !w & HIGHS;
+    let plain = |w: u64| {
+        below(w, 0x20)
+            | below(w ^ (ONES * u64::from(b'"')), 1)
+            | below(w ^ (ONES * u64::from(b'\\')), 1)
+            == 0
+    };
+    let n = bytes.len();
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("eight bytes"));
+    let half = |at: usize| {
+        u64::from(u32::from_le_bytes(bytes[at..at + 4].try_into().expect("four bytes")))
+    };
+    if n >= 8 {
+        let mut at = 0;
+        while at + 8 <= n {
+            if !plain(word(at)) {
+                return false;
+            }
+            at += 8;
+        }
+        at == n || plain(word(n - 8))
+    } else if n >= 4 {
+        plain(half(0) | half(n - 4) << 32)
+    } else {
+        bytes.iter().all(|&b| b >= 0x20 && b != b'"' && b != b'\\')
+    }
+}
+
+/// Appends `s` as a JSON string.
+#[inline(always)]
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
+    write_string_body(out, s);
+    out.push('"');
+}
+
+#[inline(always)]
+fn write_string_body(out: &mut String, s: &str) {
+    if is_plain(s.as_bytes()) {
+        out.push_str(s);
+    } else {
+        write_escaped(out, s);
+    }
+}
+
+/// The body of a string that needs escaping.
+#[cold]
+fn write_escaped(out: &mut String, s: &str) {
     // Every byte that needs escaping is ASCII, so `start..i` always falls
     // on char boundaries and multi-byte UTF-8 is copied through verbatim.
     let mut start = 0;
@@ -358,12 +517,14 @@ fn write_string(out: &mut String, s: &str) {
             b'\n' => out.push_str("\\n"),
             b'\r' => out.push_str("\\r"),
             b'\t' => out.push_str("\\t"),
-            _ => write!(out, "\\u{b:04x}").expect("writing to a String cannot fail"),
+            _ => {
+                out.push_str("\\u00");
+                push_pair(out, HEX_PAIRS, usize::from(b), false);
+            }
         }
         start = i + 1;
     }
     out.push_str(&s[start..]);
-    out.push('"');
 }
 
 /// Appends one compact JSON object to a buffer, field by field.
@@ -389,24 +550,31 @@ pub struct ObjectWriter<'a> {
 impl<'a> ObjectWriter<'a> {
     /// Opens an object at the end of `out`, leaving what is already there
     /// untouched.
+    #[inline]
     pub fn new(out: &'a mut String) -> ObjectWriter<'a> {
         out.push('{');
         ObjectWriter { out, empty: true }
     }
 
     /// Writes the separator and `"key":`, returning the buffer for the
-    /// value.
+    /// value. Always inlined, so a literal key without bytes to escape
+    /// (every key the simulator writes) is copied as a constant with no
+    /// check left at run time.
+    #[inline(always)]
     fn key(&mut self, key: &str) -> &mut String {
-        if !self.empty {
-            self.out.push(',');
+        if self.empty {
+            self.out.push('"');
+        } else {
+            self.out.push_str(",\"");
         }
         self.empty = false;
-        write_string(self.out, key);
-        self.out.push(':');
+        write_string_body(self.out, key);
+        self.out.push_str("\":");
         self.out
     }
 
     /// A string field.
+    #[inline(always)]
     pub fn str(mut self, key: &str, value: &str) -> Self {
         write_string(self.key(key), value);
         self
@@ -414,31 +582,43 @@ impl<'a> ObjectWriter<'a> {
 
     /// A number field, written as `Json::from(value)` is (exact below
     /// 2^53, see the module docs).
+    #[inline(always)]
     pub fn u64(mut self, key: &str, value: u64) -> Self {
-        write_number(self.key(key), value as f64);
+        write_u64(self.key(key), value);
         self
     }
 
     /// A boolean field.
+    #[inline(always)]
     pub fn bool(mut self, key: &str, value: bool) -> Self {
         self.key(key).push_str(if value { "true" } else { "false" });
         self
     }
 
     /// A `"0x…"` lower-hex string field, as [`Json::hex`] renders it.
-    pub fn hex(mut self, key: &str, value: u64) -> Self {
-        write!(self.key(key), "\"{value:#x}\"").expect("writing to a String cannot fail");
-        self
+    #[inline(always)]
+    pub fn hex(self, key: &str, value: u64) -> Self {
+        self.hex_padded(key, value, 1)
     }
 
     /// A `"0x…"` string field of a 32-bit value zero-padded to eight hex
     /// digits (the PKRU rendering).
-    pub fn hex32(mut self, key: &str, value: u32) -> Self {
-        write!(self.key(key), "\"{value:#010x}\"").expect("writing to a String cannot fail");
+    #[inline(always)]
+    pub fn hex32(self, key: &str, value: u32) -> Self {
+        self.hex_padded(key, u64::from(value), 8)
+    }
+
+    #[inline(always)]
+    fn hex_padded(mut self, key: &str, value: u64, min_digits: u32) -> Self {
+        let out = self.key(key);
+        out.push('"');
+        write_hex(out, value, min_digits);
+        out.push('"');
         self
     }
 
     /// Closes the object.
+    #[inline]
     pub fn finish(self) {
         self.out.push('}');
     }
@@ -825,6 +1005,55 @@ mod tests {
         let mut empty = String::new();
         ObjectWriter::new(&mut empty).finish();
         assert_eq!(empty, "{}");
+    }
+
+    #[test]
+    fn digit_and_nibble_writers_match_core_fmt() {
+        let mut values = vec![0u64, 1, u64::MAX, (1 << 53) - 1, 1 << 53, (1 << 53) + 1];
+        for k in 0..20 {
+            let p = 10u64.pow(k);
+            values.extend([p - 1, p, p + 1, 16u64.pow(k.min(15)), 16u64.pow(k.min(15)) - 1]);
+        }
+        for v in values {
+            let mut out = String::new();
+            write_u64(&mut out, v);
+            let expected = if v < EXACT_INT {
+                v.to_string()
+            } else {
+                let mut s = format!("{}", v as f64);
+                if !s.contains(['.', 'e', 'E']) {
+                    s.push_str(".0");
+                }
+                s
+            };
+            assert_eq!(out, expected, "{v}");
+            assert_eq!(Json::hex(v).as_str(), Some(format!("{v:#x}").as_str()));
+            let mut line = String::new();
+            ObjectWriter::new(&mut line).hex32("k", v as u32).finish();
+            assert_eq!(line, format!("{{\"k\":\"{:#010x}\"}}", v as u32));
+        }
+        let mut out = String::new();
+        write_u64(&mut out, u64::MAX);
+        assert_eq!(out, "18446744073709552000.0", "the f64 rendering stays byte for byte");
+    }
+
+    #[test]
+    fn plain_check_finds_every_byte_that_needs_escaping() {
+        for len in 0..20 {
+            let plain = "aπ".repeat(len);
+            assert!(is_plain(plain.as_bytes()));
+            for at in 0..=plain.len() {
+                if !plain.is_char_boundary(at) {
+                    continue;
+                }
+                for special in ["\"", "\\", "\n", "\u{0}", "\u{1f}"] {
+                    let s = format!("{}{special}{}", &plain[..at], &plain[at..]);
+                    assert!(!is_plain(s.as_bytes()), "{s:?}");
+                }
+                let s = format!("{}\u{7f} {}", &plain[..at], &plain[at..]);
+                assert!(is_plain(s.as_bytes()), "DEL and space need no escape: {s:?}");
+            }
+        }
     }
 
     #[test]

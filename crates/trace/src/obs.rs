@@ -18,7 +18,10 @@
 //!   activity, deferred TLB updates), each line stamped with the cycle
 //!   and the instruction's rename sequence number (its ROB context). It
 //!   is a [`TraceSink`], so it attaches to a core exactly like the
-//!   Konata tracer — or alongside it via [`Tee`](crate::sink::Tee).
+//!   Konata tracer — or alongside it via [`Tee`](crate::sink::Tee). Its
+//!   inlined `record` drops the per-instruction lifecycle events at the
+//!   core's call sites, and records are written by the JSON module's
+//!   table-driven [`ObjectWriter`], not through `core::fmt`.
 //!
 //! A fourth, process-global surface backs the experiment harness:
 //! [`phase_time`] accumulates named wall-clock phases (codegen, sim,
@@ -521,8 +524,38 @@ impl TraceSink for Journal {
         true
     }
 
+    /// Inlined into the core's call sites, where the variant is known:
+    /// the per-instruction lifecycle events (nine in ten of all events)
+    /// and the passing checks and allowed accesses cost nothing there,
+    /// and the notable rest go to the out-of-line `Journal::note`.
+    #[inline(always)]
     fn record(&mut self, event: TraceEvent) {
-        match event {
+        let notable = match event {
+            // Per-instruction lifecycle events are too dense to journal.
+            TraceEvent::Rename { .. }
+            | TraceEvent::Issue { .. }
+            | TraceEvent::Complete { .. }
+            | TraceEvent::Retire { .. }
+            | TraceEvent::Squash { .. } => false,
+            // Passing checks happen for nearly every memory access; only
+            // the fails are notable.
+            TraceEvent::PkruCheck { passed, .. } => !passed,
+            // Allowed accesses happen for nearly every load and store;
+            // only the deferred/faulted decisions are notable (the leak
+            // ledger keeps the full stream).
+            TraceEvent::SpecAccess { decision, .. } => decision != AccessDecision::Allowed,
+            _ => true,
+        };
+        if notable {
+            self.note(&event);
+        }
+    }
+}
+
+impl Journal {
+    /// Appends the record of a notable event.
+    fn note(&mut self, event: &TraceEvent) {
+        match *event {
             TraceEvent::SquashBatch { seq, cycle, depth, cause, rob } => {
                 self.push_record("squash", cycle, seq, |o| {
                     o.str("cause", cause.name()).u64("depth", depth).u64("rob", rob)
@@ -536,14 +569,10 @@ impl TraceSink for Journal {
             TraceEvent::RobPkruFree { seq, cycle, tag } => {
                 self.push_record("wrpkru_free", cycle, seq, |o| o.u64("tag", tag));
             }
-            TraceEvent::PkruCheck { seq, cycle, kind, passed, pc } => {
-                // Passing checks happen for nearly every memory access;
-                // only the fails are notable.
-                if !passed {
-                    self.push_record("pkru_check_fail", cycle, seq, |o| {
-                        o.str("kind", kind.name()).hex("wrpkru_site", pc)
-                    });
-                }
+            TraceEvent::PkruCheck { seq, cycle, kind, pc, .. } => {
+                self.push_record("pkru_check_fail", cycle, seq, |o| {
+                    o.str("kind", kind.name()).hex("wrpkru_site", pc)
+                });
             }
             TraceEvent::HeadStall { seq, cycle, kind } => {
                 self.push_record("head_stall", cycle, seq, |o| o.str("kind", kind.name()));
@@ -558,18 +587,13 @@ impl TraceSink for Journal {
                 self.push_record("deferred_tlb_update", cycle, seq, |o| o);
             }
             TraceEvent::SpecAccess { seq, cycle, pc, addr, pkey, decision, kind, .. } => {
-                // Allowed accesses happen for nearly every load and store;
-                // only the deferred/faulted decisions are notable (the
-                // leak ledger keeps the full stream).
-                if decision != AccessDecision::Allowed {
-                    self.push_record("spec_access", cycle, seq, |o| {
-                        o.str("kind", kind.name())
-                            .str("decision", decision.name())
-                            .hex("pc", pc)
-                            .hex("addr", addr)
-                            .u64("pkey", u64::from(pkey))
-                    });
-                }
+                self.push_record("spec_access", cycle, seq, |o| {
+                    o.str("kind", kind.name())
+                        .str("decision", decision.name())
+                        .hex("pc", pc)
+                        .hex("addr", addr)
+                        .u64("pkey", u64::from(pkey))
+                });
             }
             TraceEvent::Residue { seq, cycle, addr, pkey, line, tlb } => {
                 self.push_record("residue", cycle, seq, |o| {
@@ -582,12 +606,11 @@ impl TraceSink for Journal {
             TraceEvent::WrongPathStall { cycle, seq, pc } => {
                 self.push_record("wrong_path_stall", cycle, seq, |o| o.hex("pc", pc));
             }
-            // Per-instruction lifecycle events are too dense to journal.
             TraceEvent::Rename { .. }
             | TraceEvent::Issue { .. }
             | TraceEvent::Complete { .. }
             | TraceEvent::Retire { .. }
-            | TraceEvent::Squash { .. } => {}
+            | TraceEvent::Squash { .. } => unreachable!("filtered by record"),
         }
     }
 }

@@ -609,7 +609,8 @@ impl TraceSink for PipeTracer {
 
 /// Fans one event stream out to two sinks (e.g. a [`PipeTracer`] and a
 /// journal in the same run). Events are `Copy`, so each enabled side gets
-/// its own copy.
+/// its own copy. Recording is inlined, so a side whose own `record` is
+/// inlined too drops the events it ignores at the core's call site.
 #[derive(Debug, Default)]
 pub struct Tee<A, B> {
     /// The first receiving sink.
@@ -631,6 +632,7 @@ impl<A: TraceSink, B: TraceSink> TraceSink for Tee<A, B> {
         self.a.enabled() || self.b.enabled()
     }
 
+    #[inline(always)]
     fn record(&mut self, event: TraceEvent) {
         if self.a.enabled() {
             self.a.record(event);

@@ -4,7 +4,7 @@
 // Gated so the workspace still builds/tests with --no-default-features.
 #![cfg(feature = "proptest")]
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use proptest::prelude::*;
 use specmpk_isa::Instr;
@@ -149,6 +149,146 @@ impl Strategy for EventStream {
                 }
             })
             .collect()
+    }
+}
+
+/// Slots of the ledger's sequence-number window (`WINDOW_SLOTS` in
+/// `leak.rs`). [`PipelineStream`] spans at least four times as many seqs.
+const WINDOW: u64 = 1024;
+
+/// Most instructions a [`PipelineStream`] keeps in flight (the core's
+/// active list).
+const IN_FLIGHT: usize = 352;
+
+/// Event streams shaped like the core's, unlike [`EventStream`]: dense,
+/// increasing seqs renamed in order (with the odd skipped run), memory
+/// accesses while in flight (some replayed), retires in order from the
+/// oldest, and squash batches that kill the youngest first, each
+/// victim's `Residue` probes before its `Squash`. Every stream holds its
+/// head back for two windows of cycles, as a long miss would, so younger
+/// seqs run more than a window ahead of a live one and share its slot.
+struct PipelineStream;
+
+/// One in-flight instruction of a [`PipelineStream`]: seq, PC and the
+/// addresses it accessed.
+type Inflight = (u64, u64, Vec<u64>);
+
+impl PipelineStream {
+    /// Kills `victims` in the order given, probing residue before each
+    /// squash.
+    fn squash(rng: &mut TestRng, events: &mut Vec<TraceEvent>, victims: Vec<Inflight>, cycle: u64) {
+        for (seq, _, addrs) in victims {
+            for addr in addrs {
+                if rng.below(2) == 0 {
+                    let (line, tlb) = (flag(rng), flag(rng));
+                    events.push(TraceEvent::Residue { seq, cycle, addr, pkey: 4, line, tlb });
+                }
+            }
+            events.push(TraceEvent::Squash { seq, cycle });
+        }
+    }
+}
+
+impl Strategy for PipelineStream {
+    type Value = Vec<TraceEvent>;
+
+    fn generate(&self, rng: &mut TestRng) -> Vec<TraceEvent> {
+        let some = rng.below(1 << 20);
+        let first = pick(rng, &[0, some, (1 << 53) - 2 * WINDOW]);
+        let end = first + 4 * WINDOW + 16 + rng.below(2 * WINDOW);
+        let mut stall_at = Some(first + rng.below(2 * WINDOW));
+        let (mut next, mut cycle, mut stall) = (first, 0u64, 0u64);
+        let mut flight: VecDeque<Inflight> = VecDeque::new();
+        let mut events = Vec::new();
+        while next < end {
+            cycle += 1;
+            for _ in 0..rng.below(5) {
+                if flight.len() == IN_FLIGHT {
+                    break;
+                }
+                // Skipped seqs, but not while the head is held back: seq
+                // `head + WINDOW` must rename while the head is live.
+                if stall == 0 && rng.below(16) == 0 {
+                    next += 1 + rng.below(8);
+                }
+                let pc = 0x1000 + 4 * rng.below(48);
+                let (seq, instr) = (next, Instr::Nop);
+                events.push(TraceEvent::Rename { seq, pc, fetch_cycle: cycle - 1, cycle, instr });
+                flight.push_back((seq, pc, Vec::new()));
+                next += 1;
+            }
+            for _ in 0..rng.below(4) {
+                if flight.is_empty() {
+                    break;
+                }
+                let k = rng.below(flight.len() as u64) as usize;
+                let (seq, pc, addrs) = &mut flight[k];
+                let seq = *seq;
+                events.push(TraceEvent::Issue { seq, cycle });
+                // Half access memory; an access to an address already
+                // touched is a replay.
+                if rng.below(2) == 0 {
+                    let addr = pick(rng, &[0x2000, 0x2040, 0x3000, 0x7f00_0fe8]);
+                    let kind = pick(rng, &[PkruCheckKind::Load, PkruCheckKind::Store]);
+                    let decision = pick(
+                        rng,
+                        &[
+                            AccessDecision::Allowed,
+                            AccessDecision::Deferred,
+                            AccessDecision::Faulted,
+                        ],
+                    );
+                    let (pc, pkey, pkru) = (*pc, rng.below(16) as u8, 0x5555_5554);
+                    events.push(TraceEvent::SpecAccess {
+                        seq,
+                        cycle,
+                        pc,
+                        addr,
+                        pkey,
+                        pkru,
+                        kind,
+                        decision,
+                    });
+                    addrs.push(addr);
+                }
+                events.push(TraceEvent::Complete { seq, cycle: cycle + 1 });
+            }
+            if stall_at.is_some_and(|at| next >= at) {
+                stall_at = None;
+                stall = 2 * WINDOW;
+            }
+            if stall > 0 {
+                stall -= 1;
+            } else {
+                for _ in 0..rng.below(5) {
+                    let Some((seq, ..)) = flight.pop_front() else { break };
+                    events.push(TraceEvent::Retire { seq, cycle });
+                }
+            }
+            if rng.below(12) == 0 && !flight.is_empty() {
+                let trigger = rng.below(flight.len() as u64) as usize;
+                let depth = (flight.len() - trigger - 1) as u64;
+                events.push(TraceEvent::SquashBatch {
+                    seq: flight[trigger].0,
+                    cycle,
+                    depth,
+                    cause: SquashCause::BranchMispredict,
+                    rob: flight.len() as u64,
+                });
+                let victims = flight.drain(trigger + 1..).rev().collect();
+                Self::squash(rng, &mut events, victims, cycle);
+            } else if stall == 0 && rng.below(400) == 0 && !flight.is_empty() {
+                // A fault flush squashes the faulting head too, oldest
+                // first (never the stalled head).
+                let rob = flight.len() as u64;
+                let seq = flight[0].0;
+                let cause = SquashCause::FaultFlush;
+                events.push(TraceEvent::SquashBatch { seq, cycle, depth: rob, cause, rob });
+                let victims = flight.drain(..).collect();
+                Self::squash(rng, &mut events, victims, cycle);
+            }
+        }
+        events
     }
 }
 
@@ -316,6 +456,58 @@ proptest! {
         for (i, line) in lines.iter().enumerate() {
             let record = if i < ledger.entries().len() { "access" } else { "squash" };
             prop_assert_eq!(line.get("record").and_then(Json::as_str), Some(record));
+        }
+    }
+
+    /// The same joins on pipeline-shaped streams that span several
+    /// windows of seqs and keep some seqs live while younger ones reach
+    /// their window slots.
+    #[test]
+    fn windowed_joins_match_a_linear_scan_on_pipeline_streams(events in PipelineStream) {
+        let mut o = LeakObserver::default();
+        for &e in &events {
+            o.record(e);
+        }
+        let expected = reference_ledger(&events, usize::MAX);
+        prop_assert_eq!(o.entries().len(), expected.len());
+        for (e, (seq, addr, fate, residue)) in o.entries().iter().zip(&expected) {
+            prop_assert_eq!((e.seq, e.addr, e.fate, e.residue), (*seq, *addr, *fate, *residue));
+        }
+        // Replay the renames and fates: the stream spans four windows, and
+        // some seq renamed while another of its slot was still live.
+        let mut live: HashMap<u64, u64> = HashMap::new();
+        let (mut shared, mut squashes, mut retires) = (0, Vec::new(), HashMap::new());
+        let seqs = events.iter().filter_map(|e| match *e {
+            TraceEvent::Rename { seq, .. } => Some(seq),
+            _ => None,
+        });
+        let (lo, hi) = seqs.fold((u64::MAX, 0), |(lo, hi), s| (lo.min(s), hi.max(s)));
+        prop_assert!(hi - lo >= 4 * WINDOW, "the stream spans {} seqs", hi - lo);
+        for e in &events {
+            match *e {
+                TraceEvent::Rename { seq, pc, .. } => {
+                    shared += usize::from(live.keys().any(|&s| s % WINDOW == seq % WINDOW));
+                    live.insert(seq, pc);
+                }
+                TraceEvent::SquashBatch { seq, cycle, .. } => {
+                    squashes.push((seq, cycle, live.get(&seq).copied().unwrap_or(0)));
+                }
+                TraceEvent::Retire { seq, .. } => {
+                    if let Some(pc) = live.remove(&seq) {
+                        *retires.entry(pc).or_insert(0u64) += 1;
+                    }
+                }
+                TraceEvent::Squash { seq, .. } => {
+                    live.remove(&seq);
+                }
+                _ => {}
+            }
+        }
+        prop_assert!(shared > 0, "no two live seqs ever shared a window slot");
+        let got: Vec<_> = o.squashes().iter().map(|s| (s.trigger_seq, s.cycle, s.trigger_pc)).collect();
+        prop_assert_eq!(got, squashes);
+        for pc in (0..48).map(|k| 0x1000 + 4 * k) {
+            prop_assert_eq!(o.retire_count(pc), retires.get(&pc).copied().unwrap_or(0));
         }
     }
 

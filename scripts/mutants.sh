@@ -62,13 +62,20 @@ mutant() {
 
 issue=crates/ooo/src/stages/issue.rs
 squash=crates/ooo/src/stages/squash.rs
+leak=crates/trace/src/leak.rs
 
 mutant load-gate-off "$issue" \
     'if oldest < e.seq {' 'if oldest < e.seq && false {' \
     --test workload_differential issue_rules
 mutant issue-width-plus-one "$issue" \
-    'if issued_total >= st.config.width {' 'if issued_total > st.config.width {' \
+    'while issued_total < st.config.width {' 'while issued_total <= st.config.width {' \
     --test workload_differential issue_rules
+mutant select-skips-live-class "$issue" \
+    '&& free[usize::from(unit::LOAD)] > 0' '&& free[usize::from(unit::LOAD)] > 1' \
+    --test observed_goldens
+mutant ledger-window-no-seq-check "$leak" \
+    'if *held == seq {' 'if true {' \
+    -p specmpk-trace --test leak_properties windowed_joins
 mutant squash-keeps-lq-entry "$squash" \
     'st.lq_len -= 1;' '' \
     -p specmpk-ooo --test differential
