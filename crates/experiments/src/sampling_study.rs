@@ -67,13 +67,15 @@ pub fn sampled_run(
     );
     let base = Checkpoint::capture(ff);
     // The checkpoint's page store keeps a `Cell`-based lookup cache, so a
-    // shared `&Checkpoint` is not `Sync`; each window cell carries its
-    // own clone instead (cheap relative to a detailed window).
-    let cells: Vec<(String, (u64, Checkpoint))> = (0..windows as u64)
-        .map(|i| (format!("sampled/{}/window{i}", policy.key()), (i, base.clone())))
+    // shared `&Checkpoint` is not `Sync`; each window cell gets its own
+    // fast-forward resumed from it instead. A window copies the memory
+    // image twice: once for that resume and once for its boot.
+    let cells: Vec<(String, (u64, FastForward<'_>))> = (0..windows as u64)
+        .map(|i| {
+            (format!("sampled/{}/window{i}", policy.key()), (i, base.resume_fast_forward(program)))
+        })
         .collect();
-    par_map_labeled(cells, |(i, base)| {
-        let mut ff = base.resume_fast_forward(program);
+    par_map_labeled(cells, |(i, mut ff)| {
         let skip_exit = ff.step_n(i * window_len);
         assert!(skip_exit.is_none(), "program ended while skipping to window {i}: {skip_exit:?}");
         let cp = Checkpoint::capture(ff);

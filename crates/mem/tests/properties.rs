@@ -3,6 +3,8 @@
 // Gated so the workspace still builds/tests with --no-default-features.
 #![cfg(feature = "proptest")]
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 use specmpk_mem::{Cache, CacheConfig, MemConfig, MemorySystem, SparseMemory, Tlb, TlbConfig};
 use specmpk_mpk::{AccessKind, Pkey};
@@ -84,6 +86,56 @@ proptest! {
         prop_assert!(tlb.resident() <= 16);
     }
 
+    /// Clone isolation: writes of every width, some straddling a page
+    /// boundary, go to a memory and to two clones taken at random points
+    /// (the second from a random one of the copies alive then). Every copy
+    /// must read back exactly its own reference byte map, after each write
+    /// and at the end: a write through one copy never shows in another,
+    /// and a clone carries every byte written before it was taken. A
+    /// checkpoint boot and a resumed fast-forward rely on both.
+    #[test]
+    fn clones_read_back_their_own_writes(
+        writes in prop::collection::vec(
+            (0usize..3, 0u64..4, any::<bool>(), 0u64..4096, 1u64..=8, any::<u64>()),
+            1..160,
+        ),
+        first_clone in 0usize..160,
+        second_clone in (0usize..160, 0usize..2),
+    ) {
+        let mut copies = vec![(SparseMemory::new(), BTreeMap::<u64, u8>::new())];
+        let mut touched = Vec::new();
+        for (i, &(target, page, edge, offset, width, value)) in writes.iter().enumerate() {
+            if i == first_clone {
+                copies.push(copies[0].clone());
+            }
+            if i == second_clone.0 {
+                copies.push(copies[second_clone.1 % copies.len()].clone());
+            }
+            // Near the end of a page, a write of more than `offset % 8 + 1`
+            // bytes straddles into the next one.
+            let addr = page * 4096 + if edge { 4095 - offset % 8 } else { offset };
+            let n = copies.len();
+            let (mem, reference) = &mut copies[target % n];
+            mem.write_uint(addr, width, value);
+            for k in 0..width {
+                reference.insert(addr + k, (value >> (8 * k)) as u8);
+            }
+            prop_assert_eq!(mem.read_uint(addr, width), read_reference(reference, addr, width));
+            touched.push((addr, width));
+        }
+        for (c, (mem, reference)) in copies.iter().enumerate() {
+            for &(addr, width) in &touched {
+                for w in [1, width, 8] {
+                    prop_assert_eq!(
+                        mem.read_uint(addr, w),
+                        read_reference(reference, addr, w),
+                        "copy {} at {:#x}/{}", c, addr, w
+                    );
+                }
+            }
+        }
+    }
+
     /// MemorySystem: translation pkey always matches the page table's color,
     /// whether the TLB hits or misses.
     #[test]
@@ -99,4 +151,11 @@ proptest! {
             prop_assert_eq!(t.pkey, k);
         }
     }
+}
+
+/// The little-endian value of `width` bytes at `addr` in a byte map whose
+/// missing bytes read zero.
+fn read_reference(bytes: &BTreeMap<u64, u8>, addr: u64, width: u64) -> u64 {
+    (0..width)
+        .fold(0, |v, k| v | u64::from(bytes.get(&(addr + k)).copied().unwrap_or(0)) << (8 * k))
 }

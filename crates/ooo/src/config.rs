@@ -135,8 +135,10 @@ impl SimConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the PRF cannot cover the architectural registers, or any
-    /// width/size is zero.
+    /// Panics if the PRF cannot cover the architectural registers, any
+    /// width/size is zero, or a cache level is faster than a level nearer
+    /// the core (fetch charges an L1I miss the latency beyond the L1I's,
+    /// which must not be negative).
     pub fn validate(&self) {
         assert!(self.width > 0, "width must be positive");
         assert!(
@@ -149,6 +151,15 @@ impl SimConfig {
         assert!(self.alu_units > 0 && self.load_ports > 0 && self.store_ports > 0);
         assert!(self.branch_units > 0);
         assert!(self.specmpk.rob_pkru_size > 0, "ROB_pkru needs at least one entry");
+        let h = &self.mem.hierarchy;
+        assert!(
+            h.l1i.latency.max(h.l1d.latency) <= h.l2.latency && h.l2.latency <= h.l3.latency,
+            "cache latencies must not fall with depth: L1I {} / L1D {}, L2 {}, L3 {}",
+            h.l1i.latency,
+            h.l1d.latency,
+            h.l2.latency,
+            h.l3.latency
+        );
     }
 }
 
@@ -180,6 +191,22 @@ mod tests {
     #[should_panic(expected = "PRF must exceed")]
     fn tiny_prf_rejected() {
         let c = SimConfig { prf_size: 8, ..SimConfig::default() };
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "cache latencies must not fall with depth")]
+    fn l1i_slower_than_l2_rejected() {
+        let mut c = SimConfig::default();
+        c.mem.hierarchy.l1i.latency = 200;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "cache latencies must not fall with depth")]
+    fn l2_slower_than_l3_rejected() {
+        let mut c = SimConfig::default();
+        c.mem.hierarchy.l2.latency = c.mem.hierarchy.l3.latency + 1;
         c.validate();
     }
 }

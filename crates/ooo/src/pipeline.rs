@@ -13,7 +13,9 @@ use specmpk_mem::{MemorySystem, PageFault};
 use specmpk_mpk::{Pkru, ProtectionFault};
 use specmpk_trace::{profile_env, NullSink, Profiler, ProgressReporter, TraceSink};
 
+use crate::arch::ArchState;
 use crate::config::SimConfig;
+use crate::predictor::BranchPredictor;
 use crate::stages::{self, span, PipelineState, StageCtx};
 use crate::stats::{IntervalSample, RenameStall, SimHistograms, SimStats};
 
@@ -195,12 +197,15 @@ impl Core {
     /// (ROB, IQ, PRF mappings) start empty — exactly the state a detailed
     /// run would hold at that instruction boundary with no in-flight
     /// work. Cycle count and statistics start at zero, so the run's stats
-    /// describe only the detailed window.
+    /// describe only the detailed window. The core runs on one copy of the
+    /// checkpoint's memory system and predictor, and the checkpoint is
+    /// left as it was.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is inconsistent
-    /// ([`SimConfig::validate`]).
+    /// ([`SimConfig::validate`]), or if its memory-system or predictor
+    /// geometry differs from the checkpoint's.
     #[must_use]
     pub fn from_checkpoint(
         config: SimConfig,
@@ -220,8 +225,16 @@ impl<S: TraceSink> Core<S> {
     /// ([`SimConfig::validate`]).
     #[must_use]
     pub fn with_sink(config: SimConfig, program: &Program, sink: S) -> Self {
-        let progress = ProgressReporter::from_env(config.policy.key());
-        let mut state = PipelineState::new(config, program);
+        let mut mem = MemorySystem::new(config.mem);
+        mem.load_program(program);
+        let arch = ArchState::at_entry(program, config.initial_pkru);
+        let predictor = BranchPredictor::new(config.predictor);
+        Core::boot(PipelineState::new(config, program, &arch, mem, predictor), sink)
+    }
+
+    /// Wraps a freshly built pipeline (either constructor) into a core.
+    fn boot(mut state: PipelineState, sink: S) -> Self {
+        let progress = ProgressReporter::from_env(state.config.policy.key());
         // Spans are always registered (fixed ids per `stages::span`);
         // whether they are *timed* follows SPECMPK_PROFILE, overridable
         // via `set_profiling`.
@@ -243,7 +256,9 @@ impl<S: TraceSink> Core<S> {
     /// # Panics
     ///
     /// Panics if the configuration is inconsistent
-    /// ([`SimConfig::validate`]).
+    /// ([`SimConfig::validate`]), or if its memory-system or predictor
+    /// geometry differs from the checkpoint's: the core would run on the
+    /// checkpoint's caches while charging `config`'s latencies.
     #[must_use]
     pub fn with_sink_from_checkpoint(
         config: SimConfig,
@@ -251,16 +266,18 @@ impl<S: TraceSink> Core<S> {
         cp: &crate::checkpoint::Checkpoint,
         sink: S,
     ) -> Self {
-        let mut core = Core::with_sink(config, program, sink);
-        let st = &mut core.state;
-        st.mem = cp.mem.clone();
-        for reg in Reg::all().filter(|r| !r.is_zero()) {
-            st.rf.set_committed_value(reg, cp.arch.regs[reg.index()]);
-        }
-        st.engine.set_committed(cp.arch.pkru);
-        st.predictor = cp.predictor.clone();
-        st.fetch_pc = Some(cp.arch.pc);
-        st.last_fetch_line = cp.last_fetch_line;
+        assert!(
+            cp.mem.config() == config.mem,
+            "checkpoint memory-system geometry differs from the configuration's"
+        );
+        assert!(
+            cp.predictor.config() == config.predictor,
+            "checkpoint predictor geometry differs from the configuration's"
+        );
+        let mem = cp.mem.clone();
+        let state = PipelineState::new(config, program, &cp.arch, mem, cp.predictor.clone());
+        let mut core = Core::boot(state, sink);
+        core.state.last_fetch_line = cp.last_fetch_line;
         core
     }
 

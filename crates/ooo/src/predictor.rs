@@ -123,6 +123,12 @@ impl BranchPredictor {
         }
     }
 
+    /// The predictor's geometry.
+    #[must_use]
+    pub fn config(&self) -> PredictorConfig {
+        self.config
+    }
+
     fn pht_index(&self, pc: u64) -> usize {
         let mask = (1u64 << self.config.gshare_bits) - 1;
         (((pc / INSTR_BYTES) ^ self.ghist) & mask) as usize

@@ -16,7 +16,7 @@ pub(crate) fn fetch<S: TraceSink>(st: &mut PipelineState, cx: &mut StageCtx<'_, 
             break;
         }
         let Some(pc) = st.fetch_pc else { break };
-        let Some(&instr) = st.program.instr_at(pc) else {
+        let Some(&instr) = st.text.instr_at(pc) else {
             // Fetch ran off the map (wrong path): stall until redirect.
             st.fetch_pc = None;
             st.work = true; // state changed; idle skip must re-evaluate

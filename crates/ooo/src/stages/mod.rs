@@ -77,6 +77,7 @@ use specmpk_mpk::{AccessKind, Pkey, ProtectionFault};
 use specmpk_trace::TraceSink;
 
 use crate::active_list::ActiveList;
+use crate::arch::ArchState;
 use crate::config::SimConfig;
 use crate::pipeline::ExitReason;
 use crate::predictor::{BranchPredictor, PredictorCheckpoint, RasRepairLog};
@@ -319,10 +320,12 @@ pub(crate) struct PipelineState {
     pub(crate) engine: PkruEngine,
     pub(crate) predictor: BranchPredictor,
     /// Undo log of fetch's RAS pushes, replayed by a squash. It lives here
-    /// rather than in the predictor so a checkpoint boot, which replaces
-    /// the predictor, keeps it, and the functional engine never has one.
+    /// rather than in the predictor so the functional engine, whose
+    /// predictor a checkpoint boot takes over, never has one.
     pub(crate) ras_log: RasRepairLog,
-    pub(crate) program: Program,
+    /// The program's text alone, which fetch reads: its data segments
+    /// already live in `mem`, so the core keeps no copy of them.
+    pub(crate) text: Program,
 
     pub(crate) cycle: u64,
     pub(crate) next_seq: Seq,
@@ -380,32 +383,40 @@ pub(crate) struct PipelineState {
 }
 
 impl PipelineState {
-    /// Builds the reset state for `program` (shared by [`Core::new`] and
-    /// [`Core::with_sink`]).
+    /// Builds an empty pipeline for `program` that runs on `mem` and
+    /// `predictor` from the committed state `arch`: every register, the
+    /// PKRU and the fetch PC come from `arch`, and no instruction is in
+    /// flight. [`Core::with_sink`] passes a freshly loaded image and a cold
+    /// predictor; [`Core::with_sink_from_checkpoint`] passes the
+    /// checkpoint's own.
     ///
-    /// [`Core::new`]: crate::Core::new
     /// [`Core::with_sink`]: crate::Core::with_sink
-    pub(crate) fn new(config: SimConfig, program: &Program) -> Self {
+    /// [`Core::with_sink_from_checkpoint`]: crate::Core::with_sink_from_checkpoint
+    pub(crate) fn new(
+        config: SimConfig,
+        program: &Program,
+        arch: &ArchState,
+        mem: MemorySystem,
+        predictor: BranchPredictor,
+    ) -> Self {
         config.validate();
-        let mut mem = MemorySystem::new(config.mem);
-        mem.load_program(program);
         let mut rf = RegFile::new(config.prf_size);
-        if let Some(stack) = program.segment("stack") {
-            rf.set_committed_value(Reg::SP, stack.end() - 16);
+        for reg in Reg::all().filter(|r| !r.is_zero()) {
+            rf.set_committed_value(reg, arch.regs[reg.index()]);
         }
         let mut engine = PkruEngine::new(config.policy, config.specmpk);
-        engine.set_committed(config.initial_pkru);
+        engine.set_committed(arch.pkru);
         PipelineState {
             config,
             mem,
             rf,
             engine,
-            predictor: BranchPredictor::new(config.predictor),
+            predictor,
             ras_log: RasRepairLog::new(config.active_list_size + config.frontend_queue_capacity()),
-            program: program.clone(),
+            text: Program::new(program.text_base(), program.text().to_vec()),
             cycle: 0,
             next_seq: 0,
-            fetch_pc: Some(program.entry()),
+            fetch_pc: Some(arch.pc),
             fetch_busy_until: 0,
             last_fetch_line: None,
             frontq: VecDeque::new(),

@@ -1,8 +1,8 @@
 //! Lowers IR modules to simulator programs, applying protection passes.
 
 use specmpk_isa::{
-    AluOp, Assembler, BranchCond, DataSegment, MemWidth, Operand, Program, Reg, SegmentPerms,
-    INSTR_BYTES,
+    AluOp, Assembler, BranchCond, DataSegment, Instr, MemWidth, Operand, Program, Reg,
+    SegmentPerms, INSTR_BYTES,
 };
 use specmpk_mpk::{Pkey, Pkru};
 
@@ -229,14 +229,12 @@ impl<'m> CodeGenerator<'m> {
         &self.layout
     }
 
-    /// Generates the program (two passes: the first discovers function
-    /// addresses for `li`-materialized function pointers).
+    /// Generates the program. The text is emitted twice: the first pass
+    /// discovers function addresses for `li`-materialized function
+    /// pointers. The data segments are built once, after the second.
     #[must_use]
     pub fn generate(&self) -> Program {
-        let first = self.emit(None);
-        let addrs = first.0;
-        let (_, program) = self.emit(Some(&addrs));
-        program
+        self.generate_with_regions().0
     }
 
     /// Like [`generate`](Self::generate), but also returns the PC-range →
@@ -244,9 +242,10 @@ impl<'m> CodeGenerator<'m> {
     /// order, and the trap block, covering the text segment exactly.
     #[must_use]
     pub fn generate_with_regions(&self) -> (Program, Vec<Region>) {
-        let first = self.emit(None);
-        let addrs = first.0;
-        let (addrs, program) = self.emit(Some(&addrs));
+        let (addrs, _) = self.emit_text(None);
+        let (addrs, text) = self.emit_text(Some(&addrs));
+        let mut program = Program::new(self.layout.text_base, text);
+        self.add_data_segments(&mut program);
         let text_end = self.layout.text_base + program.len() as u64 * INSTR_BYTES;
         // The trap block is the last thing emitted: two instructions.
         let trap_start = text_end - 2 * INSTR_BYTES;
@@ -264,8 +263,10 @@ impl<'m> CodeGenerator<'m> {
         self.protection != Protection::None
     }
 
+    /// Emits the text, with function pointers resolved from `func_addrs`
+    /// (0 when `None`), and returns each function's address with it.
     #[allow(clippy::too_many_lines)]
-    fn emit(&self, func_addrs: Option<&[u64]>) -> (Vec<u64>, Program) {
+    fn emit_text(&self, func_addrs: Option<&[u64]>) -> (Vec<u64>, Vec<Instr>) {
         let mut asm = Assembler::new(self.layout.text_base);
         let func_labels: Vec<_> =
             (0..self.module.functions.len()).map(|_| asm.fresh_label()).collect();
@@ -356,10 +357,12 @@ impl<'m> CodeGenerator<'m> {
         asm.li(ADDR_REG, 0);
         asm.store(ADDR_REG, ADDR_REG, 0, MemWidth::D); // page fault at 0x0
 
-        let text = asm.assemble().expect("all labels bound");
-        let mut program = Program::new(self.layout.text_base, text);
+        (addrs, asm.assemble().expect("all labels bound"))
+    }
 
-        // ----- data segments -----
+    /// Adds the data segments: the stack, the shadow stack or
+    /// function-pointer table the protection needs, and every IR array.
+    fn add_data_segments(&self, program: &mut Program) {
         program.add_segment(DataSegment::zeroed(
             "stack",
             self.layout.stack_base,
@@ -392,24 +395,16 @@ impl<'m> CodeGenerator<'m> {
         for (i, a) in self.module.arrays.iter().enumerate() {
             // Deterministic pseudo-random initial contents so
             // data-dependent branches have interesting behaviour.
-            let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ (i as u64) << 32 | a.size;
-            let init: Vec<u8> = (0..a.size)
-                .map(|_| {
-                    state =
-                        state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    (state >> 33) as u8
-                })
-                .collect();
+            let seed = 0x9E37_79B9_7F4A_7C15u64 ^ (i as u64) << 32 | a.size;
             program.add_segment(DataSegment {
                 base: self.layout.array_bases[i],
                 size: a.size,
-                init,
+                init: lcg_bytes(seed, a.size as usize),
                 pkey: Pkey::DEFAULT,
                 perms: SegmentPerms::RW,
                 name: a.name.clone(),
             });
         }
-        (addrs, program)
     }
 
     fn emit_stmt(
@@ -510,11 +505,50 @@ fn var_reg(v: Var) -> Reg {
     VAR_REGS[v.0 as usize]
 }
 
+/// Multiplier of the array-contents LCG (Knuth's MMIX constants).
+const LCG_A: u64 = 6_364_136_223_846_793_005;
+/// Increment of the array-contents LCG.
+const LCG_C: u64 = 1_442_695_040_888_963_407;
+/// Interleaved LCG lanes [`lcg_bytes`] runs side by side.
+const LCG_LANES: usize = 8;
+
+/// The map of `n` LCG steps, `s ↦ a·s + c (mod 2⁶⁴)`, as `(a, c)`.
+fn lcg_jump(n: usize) -> (u64, u64) {
+    (0..n).fold((1, 0), |(a, c), _| {
+        (a.wrapping_mul(LCG_A), c.wrapping_mul(LCG_A).wrapping_add(LCG_C))
+    })
+}
+
+/// `len` bytes of the LCG stream from `seed`: byte `n` is bits 33..41 of
+/// the state after `n + 1` steps. Lane `j` of [`LCG_LANES`] produces bytes
+/// `j`, `j + L`, `j + 2L`, … by jumping `L` steps at a time, so the lanes
+/// have no serial dependency on one another.
+fn lcg_bytes(seed: u64, len: usize) -> Vec<u8> {
+    let mut lanes = [0; LCG_LANES];
+    let mut state = seed;
+    for lane in &mut lanes {
+        state = state.wrapping_mul(LCG_A).wrapping_add(LCG_C);
+        *lane = state;
+    }
+    let (a, c) = lcg_jump(LCG_LANES);
+    let mut out = vec![0u8; len];
+    let mut chunks = out.chunks_exact_mut(LCG_LANES);
+    for chunk in &mut chunks {
+        for (byte, lane) in chunk.iter_mut().zip(&mut lanes) {
+            *byte = (*lane >> 33) as u8;
+            *lane = lane.wrapping_mul(a).wrapping_add(c);
+        }
+    }
+    for (byte, lane) in chunks.into_remainder().iter_mut().zip(&lanes) {
+        *byte = (*lane >> 33) as u8;
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ir::{ArrayDecl, Function};
-    use specmpk_isa::Instr;
 
     fn tiny_module(fn_ptr_slots: usize) -> Module {
         Module {
@@ -605,6 +639,20 @@ mod tests {
         // Every PC resolves to exactly one region.
         let pc = regions[1].start;
         assert_eq!(regions.iter().filter(|r| r.contains(pc)).count(), 1);
+    }
+
+    #[test]
+    fn lcg_lanes_match_the_serial_stream() {
+        for len in [0, 1, 7, 8, 9, 64, 4096 + 3] {
+            let mut state = 0x1234_5678_9ABC_DEF0u64;
+            let serial: Vec<u8> = (0..len)
+                .map(|_| {
+                    state = state.wrapping_mul(LCG_A).wrapping_add(LCG_C);
+                    (state >> 33) as u8
+                })
+                .collect();
+            assert_eq!(lcg_bytes(0x1234_5678_9ABC_DEF0, len), serial, "length {len}");
+        }
     }
 
     #[test]

@@ -99,6 +99,12 @@ mutant dtlb-hit-keeps-lru crates/mem/src/tlb.rs \
     $'self.clock += 1;\n        self.ways.touch(way, self.clock);\n    }\n\n    /// Promotes' \
     $'self.clock += 1;\n    }\n\n    /// Promotes' \
     --test fast_forward warmup_goldens
+mutant lcg-lane-jump crates/workloads/src/codegen.rs \
+    'let (a, c) = lcg_jump(LCG_LANES);' 'let (a, c) = lcg_jump(LCG_LANES - 1);' \
+    --test codegen_goldens
+mutant boot-reloads-program-image crates/ooo/src/pipeline.rs \
+    'let mem = cp.mem.clone();' $'let mut mem = cp.mem.clone();\n        mem.load_program(program);' \
+    --test fast_forward checkpoint_boot
 
 if [[ $failures -gt 0 ]]; then
     echo "FAIL: ${failures} mutant(s) not killed"

@@ -153,6 +153,103 @@ fn resumed_fast_forward_reaches_the_same_state() {
     assert_eq!(via_resume, direct, "resume path diverged from a direct fast-forward");
 }
 
+/// Booting from a checkpoint: a core starts from exactly the checkpoint's
+/// memory system, not from a reloaded program image; neither booting
+/// cores nor resuming fast-forwards changes the checkpoint, however far
+/// they run; and a core whose geometry differs from the checkpoint's is
+/// refused.
+mod checkpoint_boot {
+    use super::*;
+    use specmpk::isa::{Assembler, BranchCond, DataSegment, MemWidth};
+    use specmpk::mpk::Pkey;
+
+    /// Base of the initialized data segment of [`rewriting_program`].
+    const TABLE: u64 = 0x8000;
+
+    /// Overwrites the first word of an initialized data segment, then
+    /// loops storing a countdown into its second: its checkpoints differ
+    /// from the loaded image in a page that holds initial data.
+    fn rewriting_program() -> Program {
+        let mut asm = Assembler::new(0x1000);
+        let top = asm.fresh_label();
+        asm.li(Reg::T1, TABLE as i64);
+        asm.li(Reg::T0, 0x5A5A);
+        asm.store(Reg::T0, Reg::T1, 0, MemWidth::D);
+        asm.li(Reg::T0, 200);
+        asm.bind(top).unwrap();
+        asm.store(Reg::T0, Reg::T1, 8, MemWidth::D);
+        asm.load(Reg::T2, Reg::T1, 16, MemWidth::D);
+        asm.addi(Reg::T0, Reg::T0, -1);
+        asm.branch(BranchCond::Ne, Reg::T0, Reg::ZERO, top);
+        asm.halt();
+        let mut p = Program::new(asm.base(), asm.assemble().unwrap());
+        let init: Vec<u8> = (1..=64).collect();
+        p.add_segment(DataSegment::with_bytes("table", TABLE, init, Pkey::DEFAULT));
+        p
+    }
+
+    #[test]
+    fn boot_starts_from_exactly_the_checkpoint_image() {
+        let program = rewriting_program();
+        let cp = checkpoint_at(&program, 20);
+        let init = &program.segment("table").unwrap().init;
+        let loaded = u64::from_le_bytes(init[..8].try_into().unwrap());
+        assert_ne!(cp.mem.read(TABLE, 8), loaded, "the program must have rewritten its data");
+        for policy in registry::all() {
+            let core = Core::from_checkpoint(SimConfig::with_policy(policy), &program, &cp);
+            assert_eq!(
+                core.mem().snapshot().dump(),
+                cp.mem.snapshot().dump(),
+                "{policy}: the booted memory system differs from the checkpoint's"
+            );
+        }
+    }
+
+    #[test]
+    fn boots_and_resumes_leave_the_checkpoint_unchanged() {
+        let w = short(&standard_suite()[0], 20);
+        let program = w.build_protected();
+        let (_, executed) = interpret(&program);
+        let cp = checkpoint_at(&program, executed / 3);
+        let before = cp.to_json().dump();
+        let mut cores: Vec<Core> = registry::all()
+            .into_iter()
+            .map(|policy| Core::from_checkpoint(SimConfig::with_policy(policy), &program, &cp))
+            .collect();
+        let mut resumed = cp.resume_fast_forward(&program);
+        assert_eq!(resumed.step_n(u64::MAX), Some(ArchExit::Halted));
+        for core in &mut cores {
+            assert_eq!(core.run().exit, ExitReason::Halted);
+            let image = |m: &specmpk::mem::MemorySystem| m.snapshot().get("memory").unwrap().dump();
+            assert_ne!(image(core.mem()), image(&cp.mem), "the run must write memory");
+        }
+        assert_eq!(cp.to_json().dump(), before, "running from the checkpoint changed it");
+    }
+
+    /// A checkpoint from one cache geometry must not boot a core
+    /// configured with another: the core would charge the configuration's
+    /// latencies on the checkpoint's caches.
+    #[test]
+    #[should_panic(expected = "checkpoint memory-system geometry differs")]
+    fn boot_refuses_another_memory_geometry() {
+        let program = rewriting_program();
+        let cp = checkpoint_at(&program, 20);
+        let mut config = SimConfig::default();
+        config.mem.hierarchy.l1i.latency = 4;
+        let _ = Core::from_checkpoint(config, &program, &cp);
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint predictor geometry differs")]
+    fn boot_refuses_another_predictor_geometry() {
+        let program = rewriting_program();
+        let cp = checkpoint_at(&program, 20);
+        let mut config = SimConfig::default();
+        config.predictor.gshare_bits -= 1;
+        let _ = Core::from_checkpoint(config, &program, &cp);
+    }
+}
+
 /// Restoring from text is total: whatever the bytes, `Json::parse` →
 /// `Checkpoint::from_json` returns a checkpoint or an error message and
 /// never panics. Returns which stage refused the input, if any.
