@@ -237,7 +237,10 @@ impl PkruEngine {
     #[must_use]
     #[inline]
     pub fn rename_pkru_source(&self) -> PkruSource {
-        self.policy.rename_pkru_source(self.rmt)
+        match self.rmt {
+            Some(tag) => PkruSource::Renamed(tag),
+            None => PkruSource::Committed,
+        }
     }
 
     /// Whether the PKRU source operand is available — the issue gate that
@@ -311,9 +314,11 @@ impl PkruEngine {
     }
 
     /// Whether a memory access that *misses the TLB* must stall to the
-    /// Active-List head (§V-C5): with the pkey unknown before the walk, any
-    /// disabling permission anywhere in the WRPKRU-window forces the
-    /// conservative stall (and defers the TLB fill).
+    /// Active-List head and defer its TLB fill (§V-C5): the policy's
+    /// answer, cached at the last state change. With the pkey unknown
+    /// before the walk, SpecMPK stalls while any key is disabled, by an
+    /// in-flight WRPKRU or by the committed PKRU, so also outside any
+    /// WRPKRU-window.
     #[must_use]
     #[inline]
     pub fn tlb_miss_must_stall(&self) -> bool {
@@ -386,7 +391,6 @@ impl PkruEngine {
             self.rmt = None;
         }
         self.stats.wrpkru_retired += 1;
-        self.policy.on_retire_wrpkru(value);
         self.refresh_cached_checks();
         value
     }
@@ -403,7 +407,6 @@ impl PkruEngine {
     pub fn restore(&mut self, checkpoint: PkruCheckpoint) {
         self.squash_from(checkpoint.first_squashed);
         self.rmt = checkpoint.rmt;
-        self.policy.on_restore();
         self.refresh_cached_checks();
     }
 
@@ -413,7 +416,6 @@ impl PkruEngine {
     pub fn flush_speculative(&mut self) {
         self.squash_from(PkruTag(0));
         self.rmt = None;
-        self.policy.on_flush();
         self.refresh_cached_checks();
     }
 

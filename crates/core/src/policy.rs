@@ -30,7 +30,7 @@ use specmpk_mpk::{AccessKind, Pkey, Pkru, ProtectionFault};
 
 use crate::counters::DisablingCounters;
 use crate::engine::PkruSource;
-use crate::rob_pkru::{PkruTag, RobPkru};
+use crate::rob_pkru::RobPkru;
 use crate::SpecMpkConfig;
 
 /// Read-only window onto the [`PkruEngine`](crate::PkruEngine) state a
@@ -139,15 +139,6 @@ pub trait PermissionPolicy: fmt::Debug + Sync {
     /// Whether a `RDPKRU` may rename this cycle.
     fn can_rename_rdpkru(&self, view: PolicyView<'_>, older_inflight: usize) -> bool;
 
-    /// Which PKRU value an instruction's implicit source operand renames
-    /// to. The default is the `RMT_pkru` lookup every paper policy uses.
-    fn rename_pkru_source(&self, rmt: Option<PkruTag>) -> PkruSource {
-        match rmt {
-            Some(tag) => PkruSource::Renamed(tag),
-            None => PkruSource::Committed,
-        }
-    }
-
     /// The **PKRU Load Check** (§V-C2) for every pkey at once: bit *k* is
     /// set when a load to a page colored pkey *k* may *not* execute
     /// speculatively (it stalls to the Active-List head).
@@ -159,7 +150,8 @@ pub trait PermissionPolicy: fmt::Debug + Sync {
     fn store_fail_mask(&self, view: PolicyView<'_>) -> u16;
 
     /// Whether a memory access that misses the TLB must stall to the
-    /// Active-List head (§V-C5).
+    /// Active-List head and defer its TLB fill (§V-C5). The pkey is
+    /// unknown until the walk, so the answer covers every key at once.
     fn tlb_miss_must_stall(&self, view: PolicyView<'_>) -> bool;
 
     /// Speculative fault determination at execute time. `Ok(())` means no
@@ -178,19 +170,6 @@ pub trait PermissionPolicy: fmt::Debug + Sync {
         pkey: Pkey,
         kind: AccessKind,
     ) -> Result<(), ProtectionFault>;
-
-    /// Hook: a WRPKRU just committed `new_committed` to `ARF_pkru`.
-    /// Extension point for policies with retirement-time bookkeeping
-    /// (e.g. sealed/call-gate schemes validating the committed value).
-    fn on_retire_wrpkru(&self, new_committed: Pkru) {
-        let _ = new_committed;
-    }
-
-    /// Hook: a checkpoint is being restored (branch misprediction).
-    fn on_restore(&self) {}
-
-    /// Hook: all speculative PKRU state was flushed (fault at the head).
-    fn on_flush(&self) {}
 }
 
 /// The baseline: `WRPKRU` fully serializes the pipeline (§II-A3).
@@ -359,8 +338,12 @@ impl PermissionPolicy for SpecMpk {
             | committed.write_disable_bitmap()
     }
 
-    /// With the pkey unknown before the walk, any disabling permission
-    /// anywhere in the WRPKRU-window forces the conservative stall.
+    /// With the pkey unknown before the walk, stalls while any key is
+    /// disabled: by an in-flight WRPKRU (a non-zero Disabling Counter) or
+    /// by an AD or WD bit of the committed PKRU. The committed half holds
+    /// outside any WRPKRU-window too: SS and CPI binaries keep their
+    /// protected key write-disabled between gates, so every TLB miss in
+    /// them stalls.
     fn tlb_miss_must_stall(&self, view: PolicyView<'_>) -> bool {
         !view.counters().all_zero()
             || view.committed().any_access_disabled()

@@ -138,6 +138,12 @@ impl Program {
         &self.text
     }
 
+    /// The instructions, to rewrite in place. The text keeps its length,
+    /// so the entry point and every address stay valid.
+    pub fn text_mut(&mut self) -> &mut [Instr] {
+        &mut self.text
+    }
+
     /// One-past-the-end address of the text section.
     #[must_use]
     pub fn text_end(&self) -> u64 {

@@ -106,6 +106,15 @@ pub enum ExitReason {
         /// The architectural fault.
         fault: PageFault,
     },
+    /// The committed path left the text: fetch stalled at an address
+    /// below it, past it or misaligned within it, and the Active List and
+    /// the frontend queue are empty, so no older instruction can redirect
+    /// fetch. The reference interpreter's
+    /// [`ArchExit::BadPc`](crate::arch::ArchExit::BadPc).
+    BadPc {
+        /// The address fetch could not read.
+        pc: u64,
+    },
     /// The configured cycle budget ran out.
     CycleLimit,
     /// The configured instruction budget ran out.
@@ -472,6 +481,11 @@ impl<S: TraceSink> Core<S> {
         let t = st.stats.host.lap(span::RENAME, t);
         stages::fetch::fetch(st, cx);
         st.stats.host.stop(span::FETCH, t);
+        if st.fetch_pc.is_none() && st.al.is_empty() && st.frontq.is_empty() {
+            // A halt in flight keeps one of the queues busy, so fetch is
+            // stalled off the text with nothing left to redirect it.
+            st.exit = Some(ExitReason::BadPc { pc: st.fetch_stalled_at });
+        }
         if st.config.idle_skip && !st.work && st.exit.is_none() {
             idle_skip(st, sample_at);
         }

@@ -17,8 +17,10 @@ pub(crate) fn fetch<S: TraceSink>(st: &mut PipelineState, cx: &mut StageCtx<'_, 
         }
         let Some(pc) = st.fetch_pc else { break };
         let Some(&instr) = st.text.instr_at(pc) else {
-            // Fetch ran off the map (wrong path): stall until redirect.
+            // Fetch ran off the map: stall until a redirect, or until the
+            // core exits with `BadPc` if the path is the committed one.
             st.fetch_pc = None;
+            st.fetch_stalled_at = pc;
             st.work = true; // state changed; idle skip must re-evaluate
             if cx.sink.enabled() {
                 cx.sink.record(TraceEvent::WrongPathStall {

@@ -329,7 +329,12 @@ pub(crate) struct PipelineState {
 
     pub(crate) cycle: u64,
     pub(crate) next_seq: Seq,
+    /// Where fetch reads next; `None` after a halt or while stalled off
+    /// the text, until a redirect.
     pub(crate) fetch_pc: Option<u64>,
+    /// The address of the last fetch that found no instruction: the
+    /// [`ExitReason::BadPc`] address once nothing in flight can redirect.
+    pub(crate) fetch_stalled_at: u64,
     pub(crate) fetch_busy_until: u64,
     pub(crate) last_fetch_line: Option<u64>,
     pub(crate) frontq: VecDeque<Fetched>,
@@ -417,6 +422,7 @@ impl PipelineState {
             cycle: 0,
             next_seq: 0,
             fetch_pc: Some(arch.pc),
+            fetch_stalled_at: 0,
             fetch_busy_until: 0,
             last_fetch_line: None,
             frontq: VecDeque::new(),

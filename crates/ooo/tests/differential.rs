@@ -234,13 +234,24 @@ fn generate_with(seed: u64, knobs: Knobs) -> Program {
     p
 }
 
+/// The pipeline stopped the way the reference did, at the same PC (a
+/// fault leaves the reference's `pc` on the faulting instruction), with
+/// the same registers and PKRU.
 fn assert_same_state(
     seed: u64,
     policy: PolicyRef,
     result: &specmpk_ooo::SimResult,
+    reference_exit: &ArchExit,
     reference: &ArchState,
 ) {
-    assert_eq!(result.exit, ExitReason::Halted, "seed {seed} policy {policy}: pipeline exit");
+    let pc = reference.pc;
+    let expected = match *reference_exit {
+        ArchExit::Halted => ExitReason::Halted,
+        ArchExit::ProtectionFault(fault) => ExitReason::ProtectionFault { pc, fault },
+        ArchExit::PageFault(fault) => ExitReason::PageFault { pc, fault },
+        ArchExit::BadPc(bad) => ExitReason::BadPc { pc: bad },
+    };
+    assert_eq!(result.exit, expected, "seed {seed} policy {policy}: pipeline exit");
     for r in Reg::all() {
         assert_eq!(
             result.reg(r),
@@ -251,29 +262,62 @@ fn assert_same_state(
     assert_eq!(result.pkru(), reference.pkru, "seed {seed} policy {policy}: PKRU");
 }
 
+/// Runs `program` on the detailed core under every policy and checks the
+/// exit, registers, PKRU and the data page against the reference
+/// interpreter. Returns the reference exit.
+fn check_against_reference(seed: u64, program: &Program) -> ArchExit {
+    let mut reference = Interp::new(program, Pkru::ALL_ACCESS);
+    let exit = reference
+        .step_n(5_000_000)
+        .unwrap_or_else(|| panic!("seed {seed}: generator produced a non-terminating program"));
+    for policy in registry::all() {
+        let mut core = Core::new(SimConfig::with_policy(policy), program);
+        let result = core.run();
+        assert_same_state(seed, policy, &result, &exit, reference.state());
+        for probe in (0..4096u64).step_by(8) {
+            assert_eq!(
+                core.mem().read(DATA_BASE + probe, 8),
+                reference.mem().read(DATA_BASE + probe, 8),
+                "seed {seed} policy {policy}: memory diverged at +{probe:#x}"
+            );
+        }
+        if matches!(exit, ArchExit::BadPc(_)) {
+            // The exit needs no fast path: with both off it comes on the
+            // same cycle.
+            let mut slow = SimConfig::with_policy(policy);
+            (slow.idle_skip, slow.fuse_rename_issue) = (false, false);
+            let slow = Core::new(slow, program).run();
+            assert_eq!(
+                (&slow.exit, slow.stats.cycles),
+                (&result.exit, result.stats.cycles),
+                "seed {seed} policy {policy}: fast paths moved the exit"
+            );
+        }
+    }
+    exit
+}
+
+/// Base programs halt; the edge-case ones end by every architectural
+/// exit, and the detailed core must stop the same way under each policy.
 #[test]
 fn random_programs_match_reference_under_all_policies() {
     for seed in 0..25u64 {
-        let program = generate(seed);
-        let mut reference = Interp::new(&program, Pkru::ALL_ACCESS);
-        assert_eq!(
-            reference.step_n(5_000_000),
-            Some(ArchExit::Halted),
-            "seed {seed}: generator produced a non-halting or faulting program"
-        );
-        for policy in registry::all() {
-            let mut core = Core::new(SimConfig::with_policy(policy), &program);
-            let result = core.run();
-            assert_same_state(seed, policy, &result, reference.state());
-            // Memory must agree on the data region too.
-            for probe in (0..4096u64).step_by(8) {
-                assert_eq!(
-                    core.mem().read(DATA_BASE + probe, 8),
-                    reference.mem().read(DATA_BASE + probe, 8),
-                    "seed {seed} policy {policy}: memory diverged at +{probe:#x}"
-                );
-            }
-        }
+        let exit = check_against_reference(seed, &generate(seed));
+        assert_eq!(exit, ArchExit::Halted, "seed {seed}: generator produced a faulting program");
+    }
+    let mut exits = std::collections::BTreeMap::<&str, usize>::new();
+    for seed in 0..200u64 {
+        let kind = match check_against_reference(seed, &generate_with(seed, Knobs::ALL)) {
+            ArchExit::Halted => "halted",
+            ArchExit::PageFault(_) => "page fault",
+            ArchExit::ProtectionFault(_) => "pkey fault",
+            ArchExit::BadPc(_) => "bad pc",
+        };
+        *exits.entry(kind).or_default() += 1;
+    }
+    eprintln!("reference exits over 200 edge-case programs: {exits:?}");
+    for kind in ["halted", "page fault", "pkey fault", "bad pc"] {
+        assert!(exits.contains_key(kind), "no program ended by {kind}: {exits:?}");
     }
 }
 
@@ -287,7 +331,13 @@ fn random_programs_match_across_rob_pkru_sizes() {
             let config = SimConfig::with_policy(PolicyRef::SPEC_MPK).with_rob_pkru_size(size);
             let mut core = Core::new(config, &program);
             let result = core.run();
-            assert_same_state(seed, PolicyRef::SPEC_MPK, &result, reference.state());
+            assert_same_state(
+                seed,
+                PolicyRef::SPEC_MPK,
+                &result,
+                &ArchExit::Halted,
+                reference.state(),
+            );
         }
     }
 }

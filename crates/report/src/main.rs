@@ -11,8 +11,8 @@
 //! specmpk-report security <matrix.json> [--check <verdicts.json>]
 //! specmpk-report timing [--out <f>]      (reads "stage|bin <name> <ms>"
 //!                                         lines on stdin)
-//! specmpk-report perf --pr <label> [--append] [--timing <f>]
-//!                     [--bench-tsv <f>] [--out <f>] [--notes <text>]
+//! specmpk-report perf --pr <label> [--append] [--timing <f>] [--out <f>]
+//!                     [--notes <text>]
 //!
 //! options:
 //!   --tolerance <x>        default relative band (default 1e-6)
@@ -57,8 +57,8 @@ fn usage() -> ExitCode {
          \x20      specmpk-report profile <artifact.json> [more.json ...] [--top N]\n\
          \x20      specmpk-report security <matrix.json> [--check <verdicts.json>]\n\
          \x20      specmpk-report timing [--out <f>]   (stdin: 'stage|bin <name> <ms>')\n\
-         \x20      specmpk-report perf --pr <label> [--append] [--timing <f>]\n\
-         \x20                          [--bench-tsv <f>] [--out <f>] [--notes <text>]\n\
+         \x20      specmpk-report perf --pr <label> [--append] [--timing <f>] [--out <f>]\n\
+         \x20                          [--notes <text>]\n\
          options: --tolerance <x>, --tolerance-file <f>, --ansi,\n\
          \x20        --bench-file <f|->, --from <dir>"
     );
@@ -404,13 +404,14 @@ fn run_timing(args: &[String]) -> Result<ExitCode, String> {
 }
 
 /// `specmpk-report perf --pr <label> [--append] [...]`: builds one
-/// `BENCH_perf.json` entry from `timing.json` + the Criterion baseline
-/// TSV, printing it (default) or appending it to the ledger.
+/// `BENCH_perf.json` entry from `timing.json`, printing it (default) or
+/// appending it to the ledger.
 fn run_perf(args: &[String]) -> Result<ExitCode, String> {
+    use specmpk_report::perf;
+
     let mut pr: Option<String> = None;
     let mut append = false;
     let mut timing_path = default_from().join("timing.json");
-    let mut tsv_path = PathBuf::from("crates/bench/benches/baselines/main.tsv");
     let mut out_path = PathBuf::from("BENCH_perf.json");
     let mut notes = String::new();
     let mut it = args.iter();
@@ -421,29 +422,20 @@ fn run_perf(args: &[String]) -> Result<ExitCode, String> {
             "--pr" => pr = Some(value("--pr")?),
             "--append" => append = true,
             "--timing" => timing_path = value("--timing")?.into(),
-            "--bench-tsv" => tsv_path = value("--bench-tsv")?.into(),
             "--out" => out_path = value("--out")?.into(),
             "--notes" => notes = value("--notes")?,
             other => return Err(format!("unknown flag {other}")),
         }
     }
     let pr = pr.ok_or("perf: --pr <label> is required")?;
-    // Both inputs are optional: a missing file just omits its section.
-    let timing =
-        std::fs::read_to_string(&timing_path).ok().and_then(|text| Json::parse(&text).ok());
-    let tsv = std::fs::read_to_string(&tsv_path).ok();
+    // A missing timing file just omits its section; one that does not
+    // parse is an error.
+    let timing = perf::load(&timing_path, perf::parse_timing)?;
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let jobs_env = std::env::var("SPECMPK_JOBS").unwrap_or_default();
-    let entry = specmpk_report::perf::perf_entry(
-        &pr,
-        cores,
-        &jobs_env,
-        timing.as_ref(),
-        tsv.as_deref(),
-        &notes,
-    );
+    let entry = perf::perf_entry(&pr, cores, &jobs_env, timing.as_ref(), &notes);
     if append {
-        specmpk_report::perf::append_entry(&out_path, entry)?;
+        perf::append_entry(&out_path, entry)?;
         println!("appended perf entry to {}", out_path.display());
     } else {
         print!("{}", entry.dump());

@@ -26,8 +26,9 @@
 //! A fourth, process-global surface backs the experiment harness:
 //! [`phase_time`] accumulates named wall-clock phases (codegen, sim,
 //! artifact writing) across a whole binary run, serialized by
-//! [`phases_json`]. All surfaces are off by default and provably
-//! zero-impact when off (the `trace_overhead` bench guards the claim).
+//! [`phases_json`]. All surfaces are off by default, and then cost one
+//! predictable branch per site: `specmpk-benchmark` times its rounds with
+//! them off and prices the profiler on (`trace.profiler_overhead_pct`).
 
 use std::collections::VecDeque;
 use std::sync::{Mutex, OnceLock};
@@ -106,9 +107,8 @@ impl SpanId {
 /// The hot-path contract: every accessor the per-cycle loop touches is a
 /// single branch when the profiler is disabled ([`Profiler::clock`]
 /// returns `None`, and [`Profiler::lap`]/[`Profiler::stop`] propagate it
-/// without reading the clock), so a disabled profiler adds no measurable
-/// cost — the `trace_overhead` bench holds this to the same <2% band as
-/// the null trace sink.
+/// without reading the clock), so a disabled profiler costs one
+/// predictable branch per stage.
 #[derive(Debug, Clone, Default)]
 pub struct Profiler {
     on: bool,

@@ -45,6 +45,4 @@ pub mod synth;
 
 pub use codegen::{CodeGenerator, Layout, PkruUpdateStyle, Protection, Region};
 pub use ir::{ArrayDecl, Expr, Function, Module, Stmt, Var};
-pub use profile::{
-    bench_profiles, standard_profiles, standard_suite, Scheme, Workload, WorkloadProfile,
-};
+pub use profile::{standard_profiles, standard_suite, Scheme, Workload, WorkloadProfile};

@@ -149,18 +149,13 @@ impl Workload {
     /// from its boot value, so no protection faults occur.)
     #[must_use]
     pub fn build_nop_wrpkru(&self) -> Program {
-        let protected = self.build_protected();
-        let text: Vec<Instr> = protected
-            .text()
-            .iter()
-            .map(|i| if matches!(i, Instr::Wrpkru) { Instr::Nop } else { *i })
-            .collect();
-        let mut p = Program::new(protected.text_base(), text);
-        for seg in protected.segments() {
-            p.add_segment(seg.clone());
+        let mut program = self.build_protected();
+        for instr in program.text_mut() {
+            if matches!(instr, Instr::Wrpkru) {
+                *instr = Instr::Nop;
+            }
         }
-        p.set_entry(protected.entry());
-        p
+        program
     }
 }
 
@@ -231,64 +226,9 @@ pub fn standard_profiles() -> Vec<WorkloadProfile> {
     ]
 }
 
-/// Synthetic profiles for the simulator-throughput benches — deliberately
-/// *not* part of the 16-workload evaluation suite. One straight-line
-/// ALU-heavy program stresses the fused rename+issue fast path (empty
-/// issue queue, always-ready sources); one pointer-chase program with a
-/// large working set stresses the idle-cycle bulk advance (long
-/// cache-miss windows where the pipeline is frozen).
-#[must_use]
-pub fn bench_profiles() -> Vec<WorkloadProfile> {
-    let base = WorkloadProfile {
-        name: "",
-        scheme: Scheme::ShadowStack,
-        seed: 0,
-        num_helpers: 2,
-        body_stmts: (0, 0),
-        call_rate: 0.0,
-        branch_rate: 0.0,
-        mem_rate: 0.0,
-        loop_iters: (0, 0),
-        array_kb: 4,
-        fn_ptr_write_rate: 0.0,
-        indirect_call_rate: 0.0,
-        driver_iterations: 100_000,
-    };
-    vec![
-        WorkloadProfile {
-            name: "bench.alu_straightline",
-            seed: 7001,
-            body_stmts: (16, 24),
-            loop_iters: (100, 200),
-            ..base
-        },
-        WorkloadProfile {
-            name: "bench.pointer_chase",
-            seed: 7002,
-            num_helpers: 3,
-            body_stmts: (8, 14),
-            call_rate: 0.02,
-            branch_rate: 0.05,
-            mem_rate: 0.75,
-            loop_iters: (16, 80),
-            array_kb: 4096,
-            ..base
-        },
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_profiles_synthesize_and_lower() {
-        for profile in bench_profiles() {
-            let w = Workload::from_profile(profile);
-            let p = w.build_protected();
-            assert!(!p.text().is_empty(), "{} lowers to code", w.name());
-        }
-    }
 
     #[test]
     fn suite_has_sixteen_named_workloads() {

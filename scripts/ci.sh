@@ -7,6 +7,8 @@
 #   build       cargo build --release --workspace
 #   test-root   cargo test -q             (root package: integration + doc)
 #   test-ws     cargo test -q --workspace (every crate, incl. property tests)
+#   test-bench  cargo test -q on specmpk-benchmark/, a package outside the
+#               workspace (its committed Cargo.lock is restored afterwards)
 #   fmt         cargo fmt --check          (skipped when rustfmt is absent)
 #   clippy      cargo clippy -D warnings   (skipped when clippy is absent)
 #   doc         cargo doc --no-deps with RUSTDOCFLAGS='-D warnings'
@@ -168,9 +170,23 @@ $(grep -c '^  0x' "${out}/guest_profile.txt") profile rows, \
 ${fetches} Konata blocks, $(wc -l < "${out}/ledger1.jsonl") ledger lines"
 }
 
+# `specmpk-benchmark/` is a workspace of its own, so no other stage compiles
+# it. Cargo rewrites its lock file when that lags the simulator crates'
+# dependencies; the committed bytes are put back, leaving the tree clean.
+run_benchmark_tests() {
+    local lock=specmpk-benchmark/Cargo.lock saved status=0
+    saved=$(mktemp)
+    cp "${lock}" "${saved}"
+    cargo test -q --offline --manifest-path specmpk-benchmark/Cargo.toml || status=1
+    cp "${saved}" "${lock}"
+    rm -f "${saved}"
+    return "${status}"
+}
+
 stage build cargo build --release --workspace
 stage test-root cargo test -q
 stage test-ws cargo test -q --workspace
+stage test-bench run_benchmark_tests
 
 if cargo fmt --version >/dev/null 2>&1; then
     stage fmt cargo fmt --check
@@ -256,16 +272,5 @@ for i in "${!BIN_NAMES[@]}"; do
     printf '  %-22s %10s\n' "${BIN_NAMES[$i]}" "${BIN_MS[$i]}"
 done
 write_timing_json
-
-# Opt-in perf-ledger append: set SPECMPK_PERF_PR=<label> to record this
-# run's timing.json + Criterion baseline medians as one BENCH_perf.json
-# entry. Off by default — append_entry has no dedup, so every routine CI
-# run would otherwise pile an identical entry onto the ledger.
-if [[ -n "${SPECMPK_PERF_PR:-}" ]]; then
-    echo "==> perf-ledger: appending entry '${SPECMPK_PERF_PR}' to BENCH_perf.json"
-    cargo run -q --release -p specmpk-report -- \
-        perf --pr "${SPECMPK_PERF_PR}" --append \
-        ${SPECMPK_PERF_NOTES:+--notes "${SPECMPK_PERF_NOTES}"}
-fi
 
 echo "==> CI OK"

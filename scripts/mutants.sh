@@ -105,6 +105,12 @@ mutant lcg-lane-jump crates/workloads/src/codegen.rs \
 mutant boot-reloads-program-image crates/ooo/src/pipeline.rs \
     'let mem = cp.mem.clone();' $'let mut mem = cp.mem.clone();\n        mem.load_program(program);' \
     --test fast_forward checkpoint_boot
+mutant bad-pc-never-raised crates/ooo/src/pipeline.rs \
+    'st.exit = Some(ExitReason::BadPc { pc: st.fetch_stalled_at });' 'let _ = st.fetch_stalled_at;' \
+    -p specmpk-ooo --test differential random_programs_match_reference
+mutant bad-pc-ignores-frontq crates/ooo/src/pipeline.rs \
+    '&& st.al.is_empty() && st.frontq.is_empty() {' '&& st.al.is_empty() {' \
+    -p specmpk-ooo --test differential random_programs_match_reference
 
 if [[ $failures -gt 0 ]]; then
     echo "FAIL: ${failures} mutant(s) not killed"
