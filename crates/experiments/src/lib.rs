@@ -25,7 +25,8 @@ mod sampling_study;
 
 use specmpk_core::{hardware_cost, registry, PolicyRef, SpecMpkConfig};
 use specmpk_isa::Program;
-use specmpk_ooo::{Core, RenameStall, SimConfig, SimStats};
+use specmpk_ooo::arch::ArchExit;
+use specmpk_ooo::{Core, FastForward, RenameStall, SimConfig, SimStats};
 use specmpk_par::{par_map_labeled, par_map_labeled_with_jobs};
 use specmpk_trace::{guest_profile_env, phase_time, Journal, Json, WitnessChain};
 use specmpk_workloads::{standard_profiles, standard_suite, PkruUpdateStyle, Workload};
@@ -468,7 +469,13 @@ fn to_completion() -> u64 {
 /// The three binaries execute different instruction streams, so Fig. 4
 /// compares them run to completion, on equal work. Per-iteration cost
 /// varies ~100× across the suite, so each driver length comes from a cheap
-/// parallel probe run of the workload.
+/// parallel probe: the functional engine counts what a short run of the
+/// workload executes, the count a detailed run would retire.
+///
+/// # Panics
+///
+/// Panics if a probe ends other than by halting: every generated
+/// program halts.
 fn fig4_workloads() -> Vec<Workload> {
     let target = fig4_kinstr().saturating_mul(1000);
     // Small (CI-scale) targets also shrink the probe and the per-run
@@ -484,7 +491,12 @@ fn fig4_workloads() -> Vec<Workload> {
             let mut profile = w.profile;
             profile.driver_iterations = probe_iters as u32;
             let probe = Workload::from_profile(profile).build_unprotected();
-            let per_iter = run_policy(&probe, PolicyRef::SERIALIZED, 0).retired / probe_iters;
+            let mut ff = FastForward::new(&SimConfig::default(), &probe);
+            match ff.step_n(u64::MAX) {
+                Some(ArchExit::Halted) => {}
+                exit => panic!("the fig4 probe of {} ended with {exit:?}", profile.name),
+            }
+            let per_iter = ff.executed() / probe_iters;
             profile.driver_iterations = (target / per_iter.max(1)).clamp(min_iters, 2000) as u32;
             // The display name depends only on profile name + scheme,
             // which the driver-iteration override leaves untouched.

@@ -149,23 +149,36 @@ impl Cache {
         self.lookup(Self::line_addr(addr)).is_ok()
     }
 
-    /// [`Cache::access`] by line address, returning the first way of the
-    /// line's set on a miss so [`Cache::install`] can fill it without a
-    /// second tag scan.
+    /// [`Cache::access`] by line address: the hit way, or the first way of
+    /// the line's set on a miss so [`Cache::install`] can fill it without
+    /// a second tag scan.
     #[inline]
-    pub(crate) fn lookup(&mut self, line: u64) -> Result<(), usize> {
+    pub(crate) fn lookup(&mut self, line: u64) -> Result<usize, usize> {
+        let found = self.ways.find(line);
+        self.record(found)
+    }
+
+    /// [`Cache::lookup`] that checks way `hint` before the set scan (see
+    /// `Ways::find_hinted`); the result, LRU stamps and statistics are the
+    /// scan's.
+    #[inline]
+    pub(crate) fn lookup_hinted(&mut self, line: u64, hint: u32) -> Result<usize, usize> {
+        let found = self.ways.find_hinted(line, hint);
+        self.record(found)
+    }
+
+    /// Counts a lookup that found `found` and promotes a hit to MRU.
+    #[inline]
+    fn record(&mut self, found: Result<usize, usize>) -> Result<usize, usize> {
         self.clock += 1;
-        match self.ways.find(line) {
+        match found {
             Ok(way) => {
                 self.ways.touch(way, self.clock);
                 self.stats.hits += 1;
-                Ok(())
             }
-            Err(set) => {
-                self.stats.misses += 1;
-                Err(set)
-            }
+            Err(_) => self.stats.misses += 1,
         }
+        found
     }
 
     /// Installs the line containing `addr`, evicting LRU if necessary.
@@ -176,16 +189,19 @@ impl Cache {
                 self.clock += 1;
                 self.ways.touch(way, self.clock);
             }
-            Err(set) => self.install(set, line),
+            Err(set) => {
+                self.install(set, line);
+            }
         }
     }
 
     /// Fills `line`, known to be absent, into the set whose first way is
-    /// `set`.
-    pub(crate) fn install(&mut self, set: usize, line: u64) {
+    /// `set`, returning the way it went to.
+    pub(crate) fn install(&mut self, set: usize, line: u64) -> usize {
         self.clock += 1;
-        let (_, evicted) = self.ways.install(set, line, self.clock);
+        let (way, evicted) = self.ways.install(set, line, self.clock);
         self.stats.evictions += u64::from(evicted);
+        way
     }
 
     /// Invalidates the line containing `addr`, if resident (`clflush`).

@@ -116,7 +116,9 @@ impl CacheHierarchy {
 
     /// One access through `l1` and the shared levels below it. Each
     /// level's tags are scanned once: a miss remembers the set it missed
-    /// in, and the fill on the way back installs into that set.
+    /// in, and the fill on the way back installs into that set. `hint` is
+    /// an `l1` way checked before the scan (`u32::MAX` for none); it is
+    /// left naming the line's `l1` way.
     #[inline]
     fn access_through(
         l1: &mut Cache,
@@ -124,16 +126,21 @@ impl CacheHierarchy {
         l3: &mut Cache,
         dram_extra: u64,
         addr: u64,
+        hint: &mut u32,
     ) -> AccessOutcome {
         let line = Cache::line_addr(addr);
-        match l1.lookup(line) {
-            Ok(()) => AccessOutcome { latency: l1.config().latency, level: AccessLevel::L1 },
-            Err(l1_set) => Self::refill(l1, l1_set, l2, l3, dram_extra, line),
+        match l1.lookup_hinted(line, *hint) {
+            Ok(way) => {
+                *hint = way as u32;
+                AccessOutcome { latency: l1.config().latency, level: AccessLevel::L1 }
+            }
+            Err(l1_set) => Self::refill(l1, l1_set, l2, l3, dram_extra, line, hint),
         }
     }
 
     /// The rest of an access that missed `l1` in set `l1_set`: find the
-    /// line further down and fill every level that missed.
+    /// line further down and fill every level that missed, leaving `hint`
+    /// on the `l1` way the line went to.
     fn refill(
         l1: &mut Cache,
         l1_set: usize,
@@ -141,14 +148,13 @@ impl CacheHierarchy {
         l3: &mut Cache,
         dram_extra: u64,
         line: u64,
+        hint: &mut u32,
     ) -> AccessOutcome {
         let outcome = match l2.lookup(line) {
-            Ok(()) => AccessOutcome { latency: l2.config().latency, level: AccessLevel::L2 },
+            Ok(_) => AccessOutcome { latency: l2.config().latency, level: AccessLevel::L2 },
             Err(l2_set) => {
                 let outcome = match l3.lookup(line) {
-                    Ok(()) => {
-                        AccessOutcome { latency: l3.config().latency, level: AccessLevel::L3 }
-                    }
+                    Ok(_) => AccessOutcome { latency: l3.config().latency, level: AccessLevel::L3 },
                     Err(l3_set) => {
                         l3.install(l3_set, line);
                         let latency = l3.config().latency + dram_extra;
@@ -159,7 +165,7 @@ impl CacheHierarchy {
                 outcome
             }
         };
-        l1.install(l1_set, line);
+        *hint = l1.install(l1_set, line) as u32;
         outcome
     }
 
@@ -167,24 +173,43 @@ impl CacheHierarchy {
     /// this write-allocate model).
     #[inline]
     pub fn access_data(&mut self, addr: u64) -> AccessOutcome {
+        self.access_data_hinted(addr, &mut { u32::MAX })
+    }
+
+    /// [`CacheHierarchy::access_data`] that first checks L1D way `hint`,
+    /// the way an earlier access left in it, with one tag compare, and
+    /// leaves the line's way there. Any hint gives the same outcome, LRU
+    /// stamps and statistics as the unhinted access; a right one skips
+    /// the L1D set scan.
+    #[inline]
+    pub fn access_data_hinted(&mut self, addr: u64, hint: &mut u32) -> AccessOutcome {
         Self::access_through(
             &mut self.l1d,
             &mut self.l2,
             &mut self.l3,
             self.config.dram_extra_latency,
             addr,
+            hint,
         )
     }
 
     /// An instruction-fetch access.
     #[inline]
     pub fn access_inst(&mut self, addr: u64) -> AccessOutcome {
+        self.access_inst_hinted(addr, &mut { u32::MAX })
+    }
+
+    /// [`CacheHierarchy::access_inst`] with an L1I way hint, as for
+    /// [`CacheHierarchy::access_data_hinted`].
+    #[inline]
+    pub fn access_inst_hinted(&mut self, addr: u64, hint: &mut u32) -> AccessOutcome {
         Self::access_through(
             &mut self.l1i,
             &mut self.l2,
             &mut self.l3,
             self.config.dram_extra_latency,
             addr,
+            hint,
         )
     }
 

@@ -184,12 +184,12 @@ impl MemorySystem {
         Ok(())
     }
 
-    /// Probes the DTLB for `addr`, walking the page table on a miss,
-    /// without changing any state. Scans the DTLB set once.
+    /// Completes a DTLB probe of `addr` that found `slot` (one set scan at
+    /// most), walking the page table on a miss, without changing any
+    /// state.
     #[inline]
-    fn lookup(&self, addr: u64) -> Result<TlbLookup, PageFault> {
+    fn lookup(&self, addr: u64, slot: Result<usize, usize>) -> Result<TlbLookup, PageFault> {
         let vpn = vpn(addr);
-        let slot = self.dtlb.find(vpn);
         let pte = match slot {
             Ok(way) => self.dtlb.pte(way),
             Err(_) => self.page_table.entry(addr)?,
@@ -216,7 +216,7 @@ impl MemorySystem {
         kind: AccessKind,
         update_tlb: bool,
     ) -> Result<Translation, PageFault> {
-        let lookup = self.lookup(addr)?;
+        let lookup = self.lookup(addr, self.dtlb.find(vpn(addr)))?;
         if update_tlb {
             self.commit_translation(lookup);
         }
@@ -245,7 +245,29 @@ impl MemorySystem {
     /// `kind`.
     #[inline]
     pub fn probe_translation(&self, addr: u64, kind: AccessKind) -> Result<TlbLookup, PageFault> {
-        let lookup = self.lookup(addr)?;
+        self.probe_translation_hinted(addr, kind, &mut { u32::MAX })
+    }
+
+    /// [`MemorySystem::probe_translation`] that first checks DTLB way
+    /// `hint` with one tag compare before the set scan, and on a hit
+    /// leaves the hit way in it. Any hint gives the unhinted probe's
+    /// result.
+    ///
+    /// # Errors
+    ///
+    /// As [`MemorySystem::probe_translation`].
+    #[inline]
+    pub fn probe_translation_hinted(
+        &self,
+        addr: u64,
+        kind: AccessKind,
+        hint: &mut u32,
+    ) -> Result<TlbLookup, PageFault> {
+        let slot = self.dtlb.find_hinted(vpn(addr), *hint);
+        if let Ok(way) = slot {
+            *hint = way as u32;
+        }
+        let lookup = self.lookup(addr, slot)?;
         if lookup.pte.allows(kind) {
             Ok(lookup)
         } else {
@@ -280,10 +302,24 @@ impl MemorySystem {
         self.caches.access_data(addr)
     }
 
+    /// [`MemorySystem::data_timing`] with an L1D way hint (see
+    /// [`CacheHierarchy::access_data_hinted`]).
+    #[inline]
+    pub fn data_timing_hinted(&mut self, addr: u64, hint: &mut u32) -> AccessOutcome {
+        self.caches.access_data_hinted(addr, hint)
+    }
+
     /// Performs the cache-timing part of an instruction fetch.
     #[inline]
     pub fn inst_timing(&mut self, addr: u64) -> AccessOutcome {
         self.caches.access_inst(addr)
+    }
+
+    /// [`MemorySystem::inst_timing`] with an L1I way hint (see
+    /// [`CacheHierarchy::access_data_hinted`]).
+    #[inline]
+    pub fn inst_timing_hinted(&mut self, addr: u64, hint: &mut u32) -> AccessOutcome {
+        self.caches.access_inst_hinted(addr, hint)
     }
 
     /// The latency a data access *would* see, without perturbing state.

@@ -152,6 +152,13 @@ impl Tlb {
         self.ways.find(vpn)
     }
 
+    /// [`Tlb::find`] that first checks way `hint` (see
+    /// `Ways::find_hinted`).
+    #[inline]
+    pub(crate) fn find_hinted(&self, vpn: u64, hint: u32) -> Result<usize, usize> {
+        self.ways.find_hinted(vpn, hint)
+    }
+
     /// The entry cached in resident way `way`.
     #[inline]
     pub(crate) fn pte(&self, way: usize) -> PageTableEntry {

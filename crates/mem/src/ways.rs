@@ -43,6 +43,21 @@ impl Ways {
         }
     }
 
+    /// [`Ways::find`] that first checks way `hint`, a way an earlier lookup
+    /// returned, with one tag compare. A tag is only ever stored in its
+    /// own set and at most once, so a match is the way the scan would
+    /// find; any other hint (stale, in another set, out of range such as
+    /// `u32::MAX`) falls back to the scan.
+    #[inline]
+    pub(crate) fn find_hinted(&self, tag: u64, hint: u32) -> Result<usize, usize> {
+        let way = hint as usize;
+        if self.tags.get(way) == Some(&tag) {
+            Ok(way)
+        } else {
+            self.find(tag)
+        }
+    }
+
     /// Stamps resident `way` as the most recently used, at `now`.
     #[inline]
     pub(crate) fn touch(&mut self, way: usize, now: u64) {
@@ -108,5 +123,33 @@ impl Ways {
         self.tags[way] = tag;
         self.lru[way] = lru;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_hinted_find_returns_what_the_scan_returns() {
+        // 2 sets of 2 ways: even tags live in ways 0–1, odd tags in 2–3.
+        let mut w = Ways::new(2, 2);
+        let (old, _) = w.install(0, 4, 1);
+        w.install(0, 2, 2);
+        w.install(2, 3, 3);
+        // Tag 4's way is evicted and reused by tag 6, so a hint left on it
+        // for tag 4 is stale.
+        let (reused, evicted) = w.install(0, 6, 4);
+        assert!(evicted && reused == old);
+        let stale = old as u32;
+        let other_set = 2; // tag 3's way, for the even tags
+        for tag in [4, 2, 6, 3, 5, 8] {
+            for hint in [stale, other_set, u32::MAX, 1, 0] {
+                assert_eq!(w.find_hinted(tag, hint), w.find(tag), "tag {tag}, hint {hint}");
+            }
+        }
+        assert_eq!(w.find_hinted(4, stale), Err(0), "the stale hint misses");
+        assert_eq!(w.find_hinted(2, other_set), Ok(1), "a hint into another set scans");
+        assert_eq!(w.find_hinted(3, u32::MAX), Ok(2), "no hint scans");
     }
 }

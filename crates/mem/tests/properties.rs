@@ -6,7 +6,9 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use specmpk_mem::{Cache, CacheConfig, MemConfig, MemorySystem, SparseMemory, Tlb, TlbConfig};
+use specmpk_mem::{
+    Cache, CacheConfig, HierarchyConfig, MemConfig, MemorySystem, SparseMemory, Tlb, TlbConfig,
+};
 use specmpk_mpk::{AccessKind, Pkey};
 
 proptest! {
@@ -149,6 +151,71 @@ proptest! {
         for &off in &offsets {
             let t = m.translate(0x10000 + off, AccessKind::Read, true).unwrap();
             prop_assert_eq!(t.pkey, k);
+        }
+    }
+}
+
+proptest! {
+    // Each case dumps two snapshots per access.
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Way hints never change a result. Two systems on a tiny geometry
+    /// (2 sets of 2 ways per cache level, a 2-set 2-way DTLB) see the same
+    /// random data accesses, fetches and flushes of four static streams,
+    /// one through the hinted lookups with a DTLB, L1D and L1I hint per
+    /// stream, the other unhinted. Some accesses first overwrite their
+    /// stream's hint with an arbitrary value. Every access must return the
+    /// same, and the two snapshots must dump the same bytes after it, as in
+    /// `probe_then_commit_equals_updating_translate`.
+    #[test]
+    fn hinted_lookups_match_unhinted_ones(
+        accesses in prop::collection::vec(
+            (0usize..4, 0u8..4, 0u64..6, 0u64..4096, any::<bool>(), any::<u32>()),
+            1..200,
+        ),
+    ) {
+        let level = |name| CacheConfig { size_bytes: 4 * 64, ways: 2, latency: 5, name };
+        let config = MemConfig {
+            hierarchy: HierarchyConfig {
+                l1i: level("L1I"),
+                l1d: level("L1D"),
+                l2: CacheConfig { latency: 15, ..level("L2") },
+                l3: CacheConfig { latency: 40, ..level("L3") },
+                dram_extra_latency: 110,
+            },
+            tlb: TlbConfig { entries: 4, ways: 2, walk_latency: 20 },
+        };
+        let (mut hinted, mut plain) = (MemorySystem::new(config), MemorySystem::new(config));
+        for m in [&mut hinted, &mut plain] {
+            // Page 5 is unmapped, so its data accesses fault.
+            m.map_region(0x10000, 5 * 4096, Pkey::DEFAULT, specmpk_isa::SegmentPerms::RW);
+        }
+        let mut hints = [[u32::MAX; 3]; 4];
+        for &(stream, what, page, offset, scramble, junk) in &accesses {
+            let addr = 0x10000 + page * 4096 + offset;
+            let [dtlb, l1d, l1i] = &mut hints[stream];
+            if scramble {
+                (*dtlb, *l1d, *l1i) = (junk, junk.rotate_left(7), junk.rotate_left(13));
+            }
+            match what {
+                0 | 1 => {
+                    let kind = if what == 0 { AccessKind::Read } else { AccessKind::Write };
+                    let a = hinted.probe_translation_hinted(addr, kind, dtlb);
+                    let b = plain.probe_translation(addr, kind);
+                    prop_assert_eq!(a, b);
+                    if let (Ok(a), Ok(b)) = (a, b) {
+                        hinted.commit_translation(a);
+                        plain.commit_translation(b);
+                        prop_assert_eq!(hinted.data_timing_hinted(addr, l1d), plain.data_timing(addr));
+                    }
+                }
+                2 => prop_assert_eq!(hinted.inst_timing_hinted(addr, l1i), plain.inst_timing(addr)),
+                _ => {
+                    hinted.flush_line(addr);
+                    plain.flush_line(addr);
+                }
+            }
+            prop_assert_eq!(hinted.snapshot().dump(), plain.snapshot().dump(), "after {:#x}", addr);
         }
     }
 }

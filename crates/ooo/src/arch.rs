@@ -8,11 +8,13 @@
 //! per instruction.
 //!
 //! [`Machine`] is the one in-order driver. It decodes the program text
-//! once into a flat array (immediates sign-extended, writes to `zero`
-//! dropped), and its [`step_n`](Machine::step_n) loop runs that array with
-//! the PC in a local, reporting microarchitectural events to an effects
-//! handler ([`StepEffects`]). The handler picks what a run does besides
-//! architectural execution:
+//! once into a stream of ops (immediates sign-extended, writes to `zero`
+//! dropped, direct branch targets resolved to op indices, a fetch op at
+//! each cache line and an end op after the text), and its
+//! [`step_n`](Machine::step_n) loop runs straight-line code down that
+//! stream without tracking the PC, reporting microarchitectural events to
+//! an effects handler ([`StepEffects`]). The handler picks what a run does
+//! besides architectural execution:
 //!
 //! * [`Interp`] = `Machine<PureStep>`, the reference interpreter. Every
 //!   hook is a no-op, so it executes with the exact architectural
@@ -142,14 +144,18 @@ pub fn rdpkru_value(pkru: Pkru) -> u64 {
 /// [`FastForward`] passes [`Warmup`], which drives cache/TLB timing and
 /// predictor training off the same events the detailed pipeline would
 /// generate on the correct path.
+///
+/// The two memory hooks get a way hint, owned by the machine, to pass to
+/// the hinted [`MemorySystem`] lookups. A hint never changes a result.
 pub trait StepEffects {
     /// The instruction at `pc` is about to execute. Called for the first
     /// instruction of every [`Machine::step_n`] call, after every taken
     /// control transfer, and whenever straight-line execution enters a new
     /// cache line — so every instruction is covered by a call for its own
-    /// line, though not every instruction gets a call of its own.
-    fn fetch(&mut self, mem: &mut MemorySystem, pc: u64) {
-        let _ = (mem, pc);
+    /// line, though not every instruction gets a call of its own. `hint`
+    /// is the L1I way hint of `pc`'s line.
+    fn fetch(&mut self, mem: &mut MemorySystem, pc: u64, hint: &mut u32) {
+        let _ = (mem, pc, hint);
     }
     /// A conditional branch at `pc` resolved `taken`.
     fn cond_branch(&mut self, pc: u64, taken: bool) {
@@ -170,9 +176,16 @@ pub trait StepEffects {
     }
     /// A data access at `addr` passed its page-table and PKRU checks and
     /// is about to commit. `lookup` is its DTLB probe, whose state update
-    /// ([`MemorySystem::commit_translation`]) has not been applied.
-    fn data_access(&mut self, mem: &mut MemorySystem, addr: u64, lookup: TlbLookup) {
-        let _ = (mem, addr, lookup);
+    /// ([`MemorySystem::commit_translation`]) has not been applied. `hint`
+    /// is the L1D way hint of the accessing instruction.
+    fn data_access(
+        &mut self,
+        mem: &mut MemorySystem,
+        addr: u64,
+        lookup: TlbLookup,
+        hint: &mut u32,
+    ) {
+        let _ = (mem, addr, lookup, hint);
     }
     /// A `clflush` of the line containing `addr` retired.
     fn flush(&mut self, mem: &mut MemorySystem, addr: u64) {
@@ -221,23 +234,14 @@ impl ArchState {
 /// those of loads and links, whose other effects remain.
 const SINK: u8 = NUM_REGS as u8;
 
-/// Operands of `rd := rs1 <op> rs2`, as [`Regs`] slots.
-#[derive(Debug, Clone, Copy)]
-struct Rrr {
-    rd: u8,
-    rs1: u8,
-    rs2: u8,
-}
+/// The `to` of a direct transfer whose target is not an instruction of
+/// the text (outside it, or misaligned): the transfer reports
+/// [`ArchExit::BadPc`] instead of landing.
+const OUTSIDE: u32 = u32::MAX;
 
-/// Operands of `rd := rs1 <op> imm`, the immediate sign-extended.
-#[derive(Debug, Clone, Copy)]
-struct Rri {
-    rd: u8,
-    rs1: u8,
-    imm: u64,
-}
-
-/// One instruction, decoded for [`Machine::step_n`].
+/// One entry of the stream [`Machine::step_n`] runs: an instruction, or
+/// one of two pseudo-ops that let straight-line code run without PC
+/// arithmetic, line tests or end tests.
 ///
 /// * Register operands are slots of [`Regs`]; immediates and offsets are
 ///   sign-extended.
@@ -245,96 +249,137 @@ struct Rri {
 ///   instruction is dispatched once.
 /// * ALU and `li` writes to `zero` are [`Op::Nop`]s; other writes to it go
 ///   to [`SINK`].
-/// * Control-transfer targets stay PCs: the loop re-indexes after every
-///   transfer. `call` marks a `jal` through `ra`, `ret` a `jalr zero, ra`.
+/// * A direct transfer holds its target twice: `to`, the op index it
+///   lands on ([`OUTSIDE`] if none), and `target`, the PC, for the fetch
+///   hook and for exits. `call` marks a `jal` through `ra`, `ret` a
+///   `jalr zero, ra`.
+/// * A load or store holds its slot in [`Hints::mem`].
+/// * `Line` stands before each instruction but the first that starts a
+///   64-byte line and calls the fetch hook for it, with the line's slot in
+///   [`Hints::l1i`]; `End` stands after the last instruction and reports
+///   [`ArchExit::BadPc`].
+/// * `Stop` is never decoded: `step_n` puts it, for one run at a time, in
+///   place of the op where the budget runs out (see [`Code::stop_within`]).
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    Add(Rrr),
-    Sub(Rrr),
-    And(Rrr),
-    Or(Rrr),
-    Xor(Rrr),
-    Sll(Rrr),
-    Srl(Rrr),
-    Sra(Rrr),
-    Mul(Rrr),
-    Slt(Rrr),
-    Sltu(Rrr),
-    AddI(Rri),
-    SubI(Rri),
-    AndI(Rri),
-    OrI(Rri),
-    XorI(Rri),
-    SllI(Rri),
-    SrlI(Rri),
-    SraI(Rri),
-    MulI(Rri),
-    SltI(Rri),
-    SltuI(Rri),
+    Add { rd: u8, rs1: u8, rs2: u8 },
+    Sub { rd: u8, rs1: u8, rs2: u8 },
+    And { rd: u8, rs1: u8, rs2: u8 },
+    Or { rd: u8, rs1: u8, rs2: u8 },
+    Xor { rd: u8, rs1: u8, rs2: u8 },
+    Sll { rd: u8, rs1: u8, rs2: u8 },
+    Srl { rd: u8, rs1: u8, rs2: u8 },
+    Sra { rd: u8, rs1: u8, rs2: u8 },
+    Mul { rd: u8, rs1: u8, rs2: u8 },
+    Slt { rd: u8, rs1: u8, rs2: u8 },
+    Sltu { rd: u8, rs1: u8, rs2: u8 },
+    AddI { rd: u8, rs1: u8, imm: u64 },
+    SubI { rd: u8, rs1: u8, imm: u64 },
+    AndI { rd: u8, rs1: u8, imm: u64 },
+    OrI { rd: u8, rs1: u8, imm: u64 },
+    XorI { rd: u8, rs1: u8, imm: u64 },
+    SllI { rd: u8, rs1: u8, imm: u64 },
+    SrlI { rd: u8, rs1: u8, imm: u64 },
+    SraI { rd: u8, rs1: u8, imm: u64 },
+    MulI { rd: u8, rs1: u8, imm: u64 },
+    SltI { rd: u8, rs1: u8, imm: u64 },
+    SltuI { rd: u8, rs1: u8, imm: u64 },
     Li { rd: u8, value: u64 },
-    Load { rd: u8, base: u8, width: MemWidth, offset: u64 },
-    Store { rs: u8, base: u8, width: MemWidth, offset: u64 },
-    Branch { cond: BranchCond, rs1: u8, rs2: u8, target: u64 },
-    Jump { target: u64 },
-    Jal { rd: u8, call: bool, target: u64 },
+    Load { rd: u8, base: u8, width: MemWidth, hint: u32, offset: u64 },
+    Store { rs: u8, base: u8, width: MemWidth, hint: u32, offset: u64 },
+    Branch { cond: BranchCond, rs1: u8, rs2: u8, to: u32, target: u64 },
+    Jump { to: u32, target: u64 },
+    Jal { rd: u8, call: bool, to: u32, target: u64 },
     Jalr { rd: u8, rs: u8, ret: bool },
     Wrpkru,
     Rdpkru,
     Clflush { base: u8, offset: u64 },
     Nop,
     Halt,
+    Line { hint: u32, pc: u64 },
+    End,
+    Stop,
 }
 
+/// How a straight-line run of [`Machine::step_n`] ended.
+enum Flow {
+    /// A taken transfer to op `to` (`None` outside the text) at a PC.
+    Transfer(Option<usize>, u64),
+    /// An exit (`None` when the budget ran out), and whether the op it
+    /// stopped at counts as executed.
+    Exit(Option<ArchExit>, bool),
+}
+
+// Four ops to a 64-byte host cache line.
+const _: () = assert!(std::mem::size_of::<Op>() == 16);
+
 impl Op {
-    fn decode(instr: Instr) -> Op {
+    /// Decodes `instr`. `to` resolves a direct target to its op index
+    /// (or [`OUTSIDE`]); `hint` is the next free [`Hints::mem`] slot, which
+    /// a load or store takes.
+    fn decode(instr: Instr, to: impl Fn(u64) -> u32, hint: &mut u32) -> Op {
         let slot = |r: Reg| r.index() as u8;
         let dest = |r: Reg| if r.is_zero() { SINK } else { slot(r) };
+        let mut take_hint = || {
+            *hint += 1;
+            *hint - 1
+        };
         match instr {
             Instr::Alu { rd, .. } | Instr::Li { rd, .. } if rd.is_zero() => Op::Nop,
             Instr::Alu { op, rd, rs1, src2: Operand::Reg(rs2) } => {
-                let o = Rrr { rd: slot(rd), rs1: slot(rs1), rs2: slot(rs2) };
+                let (rd, rs1, rs2) = (slot(rd), slot(rs1), slot(rs2));
                 match op {
-                    AluOp::Add => Op::Add(o),
-                    AluOp::Sub => Op::Sub(o),
-                    AluOp::And => Op::And(o),
-                    AluOp::Or => Op::Or(o),
-                    AluOp::Xor => Op::Xor(o),
-                    AluOp::Sll => Op::Sll(o),
-                    AluOp::Srl => Op::Srl(o),
-                    AluOp::Sra => Op::Sra(o),
-                    AluOp::Mul => Op::Mul(o),
-                    AluOp::Slt => Op::Slt(o),
-                    AluOp::Sltu => Op::Sltu(o),
+                    AluOp::Add => Op::Add { rd, rs1, rs2 },
+                    AluOp::Sub => Op::Sub { rd, rs1, rs2 },
+                    AluOp::And => Op::And { rd, rs1, rs2 },
+                    AluOp::Or => Op::Or { rd, rs1, rs2 },
+                    AluOp::Xor => Op::Xor { rd, rs1, rs2 },
+                    AluOp::Sll => Op::Sll { rd, rs1, rs2 },
+                    AluOp::Srl => Op::Srl { rd, rs1, rs2 },
+                    AluOp::Sra => Op::Sra { rd, rs1, rs2 },
+                    AluOp::Mul => Op::Mul { rd, rs1, rs2 },
+                    AluOp::Slt => Op::Slt { rd, rs1, rs2 },
+                    AluOp::Sltu => Op::Sltu { rd, rs1, rs2 },
                 }
             }
             Instr::Alu { op, rd, rs1, src2: Operand::Imm(imm) } => {
-                let o = Rri { rd: slot(rd), rs1: slot(rs1), imm: imm_operand(imm) };
+                let (rd, rs1, imm) = (slot(rd), slot(rs1), imm_operand(imm));
                 match op {
-                    AluOp::Add => Op::AddI(o),
-                    AluOp::Sub => Op::SubI(o),
-                    AluOp::And => Op::AndI(o),
-                    AluOp::Or => Op::OrI(o),
-                    AluOp::Xor => Op::XorI(o),
-                    AluOp::Sll => Op::SllI(o),
-                    AluOp::Srl => Op::SrlI(o),
-                    AluOp::Sra => Op::SraI(o),
-                    AluOp::Mul => Op::MulI(o),
-                    AluOp::Slt => Op::SltI(o),
-                    AluOp::Sltu => Op::SltuI(o),
+                    AluOp::Add => Op::AddI { rd, rs1, imm },
+                    AluOp::Sub => Op::SubI { rd, rs1, imm },
+                    AluOp::And => Op::AndI { rd, rs1, imm },
+                    AluOp::Or => Op::OrI { rd, rs1, imm },
+                    AluOp::Xor => Op::XorI { rd, rs1, imm },
+                    AluOp::Sll => Op::SllI { rd, rs1, imm },
+                    AluOp::Srl => Op::SrlI { rd, rs1, imm },
+                    AluOp::Sra => Op::SraI { rd, rs1, imm },
+                    AluOp::Mul => Op::MulI { rd, rs1, imm },
+                    AluOp::Slt => Op::SltI { rd, rs1, imm },
+                    AluOp::Sltu => Op::SltuI { rd, rs1, imm },
                 }
             }
             Instr::Li { rd, imm } => Op::Li { rd: slot(rd), value: li_value(imm) },
-            Instr::Load { rd, base, offset, width } => {
-                Op::Load { rd: dest(rd), base: slot(base), width, offset: imm_operand(offset) }
-            }
-            Instr::Store { rs, base, offset, width } => {
-                Op::Store { rs: slot(rs), base: slot(base), width, offset: imm_operand(offset) }
-            }
+            Instr::Load { rd, base, offset, width } => Op::Load {
+                rd: dest(rd),
+                base: slot(base),
+                width,
+                hint: take_hint(),
+                offset: imm_operand(offset),
+            },
+            Instr::Store { rs, base, offset, width } => Op::Store {
+                rs: slot(rs),
+                base: slot(base),
+                width,
+                hint: take_hint(),
+                offset: imm_operand(offset),
+            },
             Instr::Branch { cond, rs1, rs2, target } => {
-                Op::Branch { cond, rs1: slot(rs1), rs2: slot(rs2), target }
+                Op::Branch { cond, rs1: slot(rs1), rs2: slot(rs2), to: to(target), target }
             }
-            Instr::Jump { target } => Op::Jump { target },
-            Instr::Jal { rd, target } => Op::Jal { rd: dest(rd), call: rd == Reg::RA, target },
+            Instr::Jump { target } => Op::Jump { to: to(target), target },
+            Instr::Jal { rd, target } => {
+                Op::Jal { rd: dest(rd), call: rd == Reg::RA, to: to(target), target }
+            }
             Instr::Jalr { rd, rs } => {
                 Op::Jalr { rd: dest(rd), rs: slot(rs), ret: rd.is_zero() && rs == Reg::RA }
             }
@@ -349,31 +394,116 @@ impl Op {
     }
 }
 
-/// A program's text decoded once: `ops[i]` is the instruction at
-/// `base + i * INSTR_BYTES`.
+/// A program's text decoded once into the stream of [`Op`]s.
 #[derive(Debug)]
-struct Decoded {
-    base: u64,
+struct Code {
+    /// The stream: the instructions in text order, with `Line`s between
+    /// them and `End` after them.
     ops: Box<[Op]>,
+    /// The PC of each op's instruction: for a `Line` the one after it, for
+    /// `End` the first PC past the text. Read only at hooks, transfers and
+    /// exits.
+    pcs: Box<[u64]>,
+    /// The op index of each instruction of the text.
+    at: Box<[u32]>,
+    base: u64,
 }
 
-impl Decoded {
-    fn new(program: &Program) -> Self {
-        Decoded {
-            base: program.text_base(),
-            ops: program.text().iter().map(|&instr| Op::decode(instr)).collect(),
+impl Code {
+    /// Decodes `program`'s text, and sizes the `Hints` its stream uses.
+    fn new(program: &Program) -> (Self, Hints) {
+        let base = program.text_base();
+        let text = program.text();
+        let pc = |k: usize| base + k as u64 * INSTR_BYTES;
+        let starts_line = |k: usize| k > 0 && pc(k) % LINE_BYTES < INSTR_BYTES;
+        let mut at = Vec::with_capacity(text.len());
+        let mut next = 0;
+        for k in 0..text.len() {
+            next += u32::from(starts_line(k));
+            at.push(next);
+            next += 1;
         }
+        assert!(next < OUTSIDE, "a text of {} instructions is too long to decode", text.len());
+        let mut code = Code { ops: Box::new([]), pcs: Box::new([]), at: at.into(), base };
+        let to = |target: u64| code.index(target).map_or(OUTSIDE, |i| i as u32);
+        let (mut ops, mut pcs) = (Vec::new(), Vec::new());
+        let mut hints = 0;
+        for (k, &instr) in text.iter().enumerate() {
+            if starts_line(k) {
+                let hint = (pc(k) / LINE_BYTES - base / LINE_BYTES) as u32;
+                ops.push(Op::Line { hint, pc: pc(k) });
+                pcs.push(pc(k));
+            }
+            ops.push(Op::decode(instr, to, &mut hints));
+            pcs.push(pc(k));
+        }
+        ops.push(Op::End);
+        pcs.push(pc(text.len()));
+        code.ops = ops.into();
+        code.pcs = pcs.into();
+        let lines = pc(text.len()).div_ceil(LINE_BYTES).saturating_sub(base / LINE_BYTES);
+        let hints = Hints {
+            first_line: base / LINE_BYTES,
+            l1i: vec![u32::MAX; lines as usize].into(),
+            mem: vec![MemHint { dtlb: u32::MAX, l1d: u32::MAX }; hints as usize].into(),
+        };
+        (code, hints)
     }
 
-    /// The index of the instruction at `pc`: `None` when `pc` is outside
-    /// the text or misaligned (as for [`Program::instr_at`]).
+    /// Where the budget runs out in a run from the instruction at `pc`
+    /// with `left` instructions to go, if the text holds that many more:
+    /// the first op of the instruction `left` after it, its `Line` if it
+    /// has one, or `End`. Straight-line code reaches no further, so runs
+    /// that cannot get there need no budget check.
+    #[inline]
+    fn stop_within(&self, pc: u64, left: u64) -> Option<usize> {
+        let k = (pc - self.base) / INSTR_BYTES;
+        let rest = self.at.len() as u64 - k;
+        if left > rest {
+            return None;
+        }
+        let Some(&op) = self.at.get((k + left) as usize) else { return Some(self.ops.len() - 1) };
+        let op = op as usize;
+        Some(if matches!(self.ops[op - 1], Op::Line { .. }) { op - 1 } else { op })
+    }
+
+    /// The op index of the instruction at `pc`: `None` when `pc` is
+    /// outside the text or misaligned (as for [`Program::instr_at`]).
     #[inline]
     fn index(&self, pc: u64) -> Option<usize> {
         let offset = pc.wrapping_sub(self.base);
         if !offset.is_multiple_of(INSTR_BYTES) {
             return None;
         }
-        usize::try_from(offset / INSTR_BYTES).ok().filter(|&i| i < self.ops.len())
+        let k = usize::try_from(offset / INSTR_BYTES).ok()?;
+        self.at.get(k).map(|&i| i as usize)
+    }
+}
+
+/// The way hints of a running machine: for each line of the text, the
+/// L1I way it was last found in, and for each static load and store, the
+/// DTLB and L1D ways its page and line were. A hint only saves a set scan
+/// when right and costs one tag compare when wrong, so hints start empty
+/// (`u32::MAX`) in every machine and never enter a checkpoint.
+#[derive(Debug)]
+struct Hints {
+    /// The line number (`pc / 64`) of the text's first line.
+    first_line: u64,
+    l1i: Box<[u32]>,
+    mem: Box<[MemHint]>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct MemHint {
+    dtlb: u32,
+    l1d: u32,
+}
+
+impl Hints {
+    /// The L1I hint of the line holding `pc`, an instruction of the text.
+    #[inline]
+    fn l1i(&mut self, pc: u64) -> &mut u32 {
+        &mut self.l1i[(pc / LINE_BYTES - self.first_line) as usize]
     }
 }
 
@@ -406,14 +536,14 @@ impl Regs {
     /// Executes `op` on register operands; `op` is a constant at every
     /// call site, so its own dispatch folds away.
     #[inline(always)]
-    fn alu(&mut self, op: AluOp, o: Rrr) {
-        self.set(o.rd, alu_value(op, self.get(o.rs1), self.get(o.rs2)));
+    fn alu(&mut self, op: AluOp, rd: u8, rs1: u8, rs2: u8) {
+        self.set(rd, alu_value(op, self.get(rs1), self.get(rs2)));
     }
 
     /// Executes `op` on a register and an immediate.
     #[inline(always)]
-    fn alu_imm(&mut self, op: AluOp, o: Rri) {
-        self.set(o.rd, alu_value(op, self.get(o.rs1), o.imm));
+    fn alu_imm(&mut self, op: AluOp, rd: u8, rs1: u8, imm: u64) {
+        self.set(rd, alu_value(op, self.get(rs1), imm));
     }
 }
 
@@ -428,10 +558,12 @@ fn data_access<E: StepEffects>(
     pkru: Pkru,
     addr: u64,
     kind: AccessKind,
+    hint: &mut MemHint,
 ) -> Result<(), ArchExit> {
-    let lookup = mem.probe_translation(addr, kind).map_err(ArchExit::PageFault)?;
+    let lookup =
+        mem.probe_translation_hinted(addr, kind, &mut hint.dtlb).map_err(ArchExit::PageFault)?;
     pkru.check(lookup.pkey(), kind).map_err(ArchExit::ProtectionFault)?;
-    fx.data_access(mem, addr, lookup);
+    fx.data_access(mem, addr, lookup, &mut hint.l1d);
     Ok(())
 }
 
@@ -456,27 +588,20 @@ pub struct Warmup {
 // points the hooks and the loop call are `#[inline]` for the same reason.
 impl StepEffects for Warmup {
     #[inline]
-    fn fetch(&mut self, mem: &mut MemorySystem, pc: u64) {
+    fn fetch(&mut self, mem: &mut MemorySystem, pc: u64, hint: &mut u32) {
         // One instruction-cache access per newly touched line — the same
         // per-line discipline the detailed fetch stage uses. The gate also
         // absorbs the loop's calls for a transfer within the current line.
         let line = specmpk_mem::line_base(pc);
         if self.last_fetch_line != Some(line) {
             self.last_fetch_line = Some(line);
-            let _ = mem.inst_timing(pc);
+            let _ = mem.inst_timing_hinted(pc, hint);
         }
     }
 
     #[inline]
     fn cond_branch(&mut self, pc: u64, taken: bool) {
-        // Predict (shifting the prediction into the history, as fetch
-        // does), train the fetch-time counter with the outcome, then pin
-        // the newest history bit to the outcome — exactly the state a
-        // detailed run holds on the correct path after any misprediction
-        // has been repaired.
-        let (_, idx) = self.predictor.predict_cond(pc);
-        self.predictor.train_by_index(idx, taken);
-        self.predictor.set_last_history_bit(taken);
+        self.predictor.train_resolved(pc, taken);
     }
 
     #[inline]
@@ -495,11 +620,17 @@ impl StepEffects for Warmup {
     }
 
     #[inline]
-    fn data_access(&mut self, mem: &mut MemorySystem, addr: u64, lookup: TlbLookup) {
+    fn data_access(
+        &mut self,
+        mem: &mut MemorySystem,
+        addr: u64,
+        lookup: TlbLookup,
+        hint: &mut u32,
+    ) {
         // Apply the DTLB update the check deferred, then run the access
         // through the data-cache hierarchy.
         mem.commit_translation(lookup);
-        let _ = mem.data_timing(addr);
+        let _ = mem.data_timing_hinted(addr, hint);
     }
 
     #[inline]
@@ -535,7 +666,8 @@ impl StepEffects for Warmup {
 #[derive(Debug)]
 pub struct Machine<'p, E> {
     /// The program's text, decoded when the machine is built.
-    code: Decoded,
+    code: Code,
+    hints: Hints,
     program: PhantomData<&'p Program>,
     pub(crate) state: ArchState,
     pub(crate) mem: MemorySystem,
@@ -560,7 +692,8 @@ impl<'p, E: StepEffects> Machine<'p, E> {
         fx: E,
         executed: u64,
     ) -> Self {
-        Machine { code: Decoded::new(program), program: PhantomData, state, mem, fx, executed }
+        let (code, hints) = Code::new(program);
+        Machine { code, hints, program: PhantomData, state, mem, fx, executed }
     }
 
     /// Executes up to `n` further instructions. Returns `None` if the
@@ -570,126 +703,153 @@ impl<'p, E: StepEffects> Machine<'p, E> {
     /// A `halt` counts as executed and leaves `pc` on it. A fault leaves
     /// `pc` on the faulting instruction, which does not count. A PC outside
     /// the text is reported before any effect of the instruction there.
+    ///
+    /// The budget is counted per straight-line run, not per instruction:
+    /// a run that could exhaust it finds a stop op where it does.
     pub fn step_n(&mut self, n: u64) -> Option<ArchExit> {
-        let Machine { code, state, mem, fx, executed, .. } = self;
+        let Machine { code, hints, state, mem, fx, executed, .. } = self;
         let eax = Reg::EAX.index() as u8;
         let mut r = Regs::load(state);
         let mut pkru = state.pkru;
-        let mut pc = state.pc;
         let mut left = n;
-        // Each pass of the outer loop starts at `pc`, after a control
-        // transfer (or at entry); the inner loop runs straight-line code.
-        let exit = 'transfer: loop {
+        let direct = |to: u32| (to != OUTSIDE).then_some(to as usize);
+        // Where an `Op::Stop` stands during the current run, and the op it
+        // replaced there.
+        let mut held: Option<(usize, Op)> = None;
+        // Each pass of the outer loop lands at op `i` (PC `at`), at entry
+        // or after a taken transfer, and the inner loop runs the stream
+        // from there until the run ends: at a taken transfer, or at an
+        // exit. The PC is only looked up at hooks and when a run ends;
+        // the budget is counted per run.
+        let (exit, pc) = 'run: {
             if left == 0 {
-                break None;
+                break 'run (None, state.pc);
             }
-            let Some(mut i) = code.index(pc) else { break Some(ArchExit::BadPc(pc)) };
-            fx.fetch(mem, pc);
+            let Some(mut i) = code.index(state.pc) else {
+                break 'run (Some(ArchExit::BadPc(state.pc)), state.pc);
+            };
+            let mut at = state.pc;
             loop {
-                match code.ops[i] {
-                    Op::Add(o) => r.alu(AluOp::Add, o),
-                    Op::Sub(o) => r.alu(AluOp::Sub, o),
-                    Op::And(o) => r.alu(AluOp::And, o),
-                    Op::Or(o) => r.alu(AluOp::Or, o),
-                    Op::Xor(o) => r.alu(AluOp::Xor, o),
-                    Op::Sll(o) => r.alu(AluOp::Sll, o),
-                    Op::Srl(o) => r.alu(AluOp::Srl, o),
-                    Op::Sra(o) => r.alu(AluOp::Sra, o),
-                    Op::Mul(o) => r.alu(AluOp::Mul, o),
-                    Op::Slt(o) => r.alu(AluOp::Slt, o),
-                    Op::Sltu(o) => r.alu(AluOp::Sltu, o),
-                    Op::AddI(o) => r.alu_imm(AluOp::Add, o),
-                    Op::SubI(o) => r.alu_imm(AluOp::Sub, o),
-                    Op::AndI(o) => r.alu_imm(AluOp::And, o),
-                    Op::OrI(o) => r.alu_imm(AluOp::Or, o),
-                    Op::XorI(o) => r.alu_imm(AluOp::Xor, o),
-                    Op::SllI(o) => r.alu_imm(AluOp::Sll, o),
-                    Op::SrlI(o) => r.alu_imm(AluOp::Srl, o),
-                    Op::SraI(o) => r.alu_imm(AluOp::Sra, o),
-                    Op::MulI(o) => r.alu_imm(AluOp::Mul, o),
-                    Op::SltI(o) => r.alu_imm(AluOp::Slt, o),
-                    Op::SltuI(o) => r.alu_imm(AluOp::Sltu, o),
-                    Op::Li { rd, value } => r.set(rd, value),
-                    Op::Load { rd, base, width, offset } => {
-                        // `effective_addr`, with the offset pre-extended.
-                        let addr = r.get(base).wrapping_add(offset);
-                        if let Err(e) = data_access(mem, fx, pkru, addr, AccessKind::Read) {
-                            break 'transfer Some(e);
-                        }
-                        r.set(rd, width.truncate(mem.read(addr, width.bytes())));
-                    }
-                    Op::Store { rs, base, width, offset } => {
-                        let addr = r.get(base).wrapping_add(offset);
-                        if let Err(e) = data_access(mem, fx, pkru, addr, AccessKind::Write) {
-                            break 'transfer Some(e);
-                        }
-                        mem.write(addr, width.bytes(), width.truncate(r.get(rs)));
-                    }
-                    Op::Branch { cond, rs1, rs2, target } => {
-                        let taken = branch_taken(cond, r.get(rs1), r.get(rs2));
-                        fx.cond_branch(pc, taken);
-                        if taken {
-                            left -= 1;
-                            pc = target;
-                            continue 'transfer;
-                        }
-                    }
-                    Op::Jump { target } => {
-                        left -= 1;
-                        pc = target;
-                        continue 'transfer;
-                    }
-                    Op::Jal { rd, call, target } => {
-                        let link = link_addr(pc);
-                        r.set(rd, link);
-                        if call {
-                            fx.call(pc, link);
-                        }
-                        left -= 1;
-                        pc = target;
-                        continue 'transfer;
-                    }
-                    Op::Jalr { rd, rs, ret } => {
-                        let target = r.get(rs);
-                        r.set(rd, link_addr(pc));
-                        if ret {
-                            fx.ret(pc);
-                        } else {
-                            fx.indirect(pc, target);
-                        }
-                        left -= 1;
-                        pc = target;
-                        continue 'transfer;
-                    }
-                    Op::Wrpkru => pkru = wrpkru_value(r.get(eax)),
-                    Op::Rdpkru => r.set(eax, rdpkru_value(pkru)),
-                    Op::Clflush { base, offset } => {
-                        // No architectural effect; the address is not even
-                        // permission-checked (flushing is not a data
-                        // access). The microarchitectural flush is the
-                        // effect hook's business.
-                        fx.flush(mem, r.get(base).wrapping_add(offset));
-                    }
-                    Op::Nop => {}
-                    Op::Halt => {
-                        left -= 1;
-                        break 'transfer Some(ArchExit::Halted);
-                    }
+                fx.fetch(mem, at, hints.l1i(at));
+                if let Some((stop, op)) = held.take() {
+                    code.ops[stop] = op;
                 }
-                left -= 1;
-                pc += INSTR_BYTES;
-                i += 1;
-                if left == 0 {
-                    break 'transfer None;
+                if let Some(stop) = code.stop_within(at, left) {
+                    held = Some((stop, std::mem::replace(&mut code.ops[stop], Op::Stop)));
                 }
-                if i == code.ops.len() {
-                    break 'transfer Some(ArchExit::BadPc(pc));
-                }
-                if pc % LINE_BYTES < INSTR_BYTES {
-                    fx.fetch(mem, pc);
+                let (ops, pcs) = (&*code.ops, &*code.pcs);
+                let flow = loop {
+                    match ops[i] {
+                        Op::Add { rd, rs1, rs2 } => r.alu(AluOp::Add, rd, rs1, rs2),
+                        Op::Sub { rd, rs1, rs2 } => r.alu(AluOp::Sub, rd, rs1, rs2),
+                        Op::And { rd, rs1, rs2 } => r.alu(AluOp::And, rd, rs1, rs2),
+                        Op::Or { rd, rs1, rs2 } => r.alu(AluOp::Or, rd, rs1, rs2),
+                        Op::Xor { rd, rs1, rs2 } => r.alu(AluOp::Xor, rd, rs1, rs2),
+                        Op::Sll { rd, rs1, rs2 } => r.alu(AluOp::Sll, rd, rs1, rs2),
+                        Op::Srl { rd, rs1, rs2 } => r.alu(AluOp::Srl, rd, rs1, rs2),
+                        Op::Sra { rd, rs1, rs2 } => r.alu(AluOp::Sra, rd, rs1, rs2),
+                        Op::Mul { rd, rs1, rs2 } => r.alu(AluOp::Mul, rd, rs1, rs2),
+                        Op::Slt { rd, rs1, rs2 } => r.alu(AluOp::Slt, rd, rs1, rs2),
+                        Op::Sltu { rd, rs1, rs2 } => r.alu(AluOp::Sltu, rd, rs1, rs2),
+                        Op::AddI { rd, rs1, imm } => r.alu_imm(AluOp::Add, rd, rs1, imm),
+                        Op::SubI { rd, rs1, imm } => r.alu_imm(AluOp::Sub, rd, rs1, imm),
+                        Op::AndI { rd, rs1, imm } => r.alu_imm(AluOp::And, rd, rs1, imm),
+                        Op::OrI { rd, rs1, imm } => r.alu_imm(AluOp::Or, rd, rs1, imm),
+                        Op::XorI { rd, rs1, imm } => r.alu_imm(AluOp::Xor, rd, rs1, imm),
+                        Op::SllI { rd, rs1, imm } => r.alu_imm(AluOp::Sll, rd, rs1, imm),
+                        Op::SrlI { rd, rs1, imm } => r.alu_imm(AluOp::Srl, rd, rs1, imm),
+                        Op::SraI { rd, rs1, imm } => r.alu_imm(AluOp::Sra, rd, rs1, imm),
+                        Op::MulI { rd, rs1, imm } => r.alu_imm(AluOp::Mul, rd, rs1, imm),
+                        Op::SltI { rd, rs1, imm } => r.alu_imm(AluOp::Slt, rd, rs1, imm),
+                        Op::SltuI { rd, rs1, imm } => r.alu_imm(AluOp::Sltu, rd, rs1, imm),
+                        Op::Li { rd, value } => r.set(rd, value),
+                        Op::Load { rd, base, width, hint, offset } => {
+                            // `effective_addr`, with the offset pre-extended.
+                            let addr = r.get(base).wrapping_add(offset);
+                            let hint = &mut hints.mem[hint as usize];
+                            if let Err(e) = data_access(mem, fx, pkru, addr, AccessKind::Read, hint)
+                            {
+                                break Flow::Exit(Some(e), false);
+                            }
+                            r.set(rd, width.truncate(mem.read(addr, width.bytes())));
+                        }
+                        Op::Store { rs, base, width, hint, offset } => {
+                            let addr = r.get(base).wrapping_add(offset);
+                            let hint = &mut hints.mem[hint as usize];
+                            if let Err(e) =
+                                data_access(mem, fx, pkru, addr, AccessKind::Write, hint)
+                            {
+                                break Flow::Exit(Some(e), false);
+                            }
+                            mem.write(addr, width.bytes(), width.truncate(r.get(rs)));
+                        }
+                        Op::Branch { cond, rs1, rs2, to, target } => {
+                            let taken = branch_taken(cond, r.get(rs1), r.get(rs2));
+                            fx.cond_branch(pcs[i], taken);
+                            if taken {
+                                break Flow::Transfer(direct(to), target);
+                            }
+                        }
+                        Op::Jump { to, target } => break Flow::Transfer(direct(to), target),
+                        Op::Jal { rd, call, to, target } => {
+                            let link = link_addr(pcs[i]);
+                            r.set(rd, link);
+                            if call {
+                                fx.call(pcs[i], link);
+                            }
+                            break Flow::Transfer(direct(to), target);
+                        }
+                        Op::Jalr { rd, rs, ret } => {
+                            let (pc, target) = (pcs[i], r.get(rs));
+                            r.set(rd, link_addr(pc));
+                            if ret {
+                                fx.ret(pc);
+                            } else {
+                                fx.indirect(pc, target);
+                            }
+                            break Flow::Transfer(code.index(target), target);
+                        }
+                        Op::Wrpkru => pkru = wrpkru_value(r.get(eax)),
+                        Op::Rdpkru => r.set(eax, rdpkru_value(pkru)),
+                        Op::Clflush { base, offset } => {
+                            // No architectural effect; the address is not
+                            // even permission-checked (flushing is not a
+                            // data access). The microarchitectural flush is
+                            // the effect hook's business.
+                            fx.flush(mem, r.get(base).wrapping_add(offset));
+                        }
+                        Op::Nop => {}
+                        Op::Halt => break Flow::Exit(Some(ArchExit::Halted), true),
+                        Op::Line { hint, pc } => fx.fetch(mem, pc, &mut hints.l1i[hint as usize]),
+                        Op::End => break Flow::Exit(Some(ArchExit::BadPc(pcs[i])), false),
+                        Op::Stop => break Flow::Exit(None, false),
+                    }
+                    i += 1;
+                };
+                // The run executed the instructions from `at` up to op `i`,
+                // and `i` itself if it counts.
+                let ran = (pcs[i] - at) / INSTR_BYTES;
+                match flow {
+                    Flow::Transfer(to, target) => {
+                        left -= ran + 1;
+                        if left == 0 {
+                            break 'run (None, target);
+                        }
+                        let Some(to) = to else {
+                            break 'run (Some(ArchExit::BadPc(target)), target);
+                        };
+                        (i, at) = (to, target);
+                    }
+                    Flow::Exit(exit, counts) => {
+                        left -= ran + u64::from(counts);
+                        break 'run (exit, pcs[i]);
+                    }
                 }
             }
         };
+        if let Some((stop, op)) = held {
+            code.ops[stop] = op;
+        }
         r.store(state);
         state.pkru = pkru;
         state.pc = pc;
@@ -1012,6 +1172,107 @@ mod tests {
             assert_eq!((ff.executed(), ff.state().pc), (2, target));
             assert_eq!(ff.mem().stats().l1i.accesses(), 1, "only line 0x1000 was fetched");
         }
+    }
+
+    #[test]
+    fn direct_transfers_out_of_the_text_report_bad_pc_before_its_fetch() {
+        for target in [0x2000, 0x1018, 0x1004, 0x0ff8] {
+            let transfers = [
+                Instr::Jump { target },
+                Instr::Branch { cond: BranchCond::Eq, rs1: Reg::ZERO, rs2: Reg::ZERO, target },
+                Instr::Jal { rd: Reg::RA, target },
+            ];
+            for transfer in transfers {
+                let p = Program::new(0x1000, vec![Instr::Nop, transfer, Instr::Halt]);
+                let mut ff = FastForward::new(&SimConfig::default(), &p);
+                assert_eq!(ff.step_n(100), Some(ArchExit::BadPc(target)), "{transfer:?}");
+                assert_eq!((ff.executed(), ff.state().pc), (2, target), "{transfer:?}");
+                assert_eq!(ff.mem().stats().l1i.accesses(), 1, "only line 0x1000 was fetched");
+            }
+        }
+    }
+
+    /// A loop entered in the middle of line 0x1000 whose back edge, in line
+    /// 0x1040, returns there: `li t0, 2; j 0x1028; nop; nop; nop;`
+    /// `0x1028: addi t0, t0, -1; nop; nop; 0x1040: bne t0, zero, 0x1028;`
+    /// `halt`.
+    fn mid_line_loop() -> Program {
+        let nop = Instr::Nop;
+        let addi = Instr::Alu { op: AluOp::Add, rd: Reg::T0, rs1: Reg::T0, src2: Operand::Imm(-1) };
+        let bne =
+            Instr::Branch { cond: BranchCond::Ne, rs1: Reg::T0, rs2: Reg::ZERO, target: 0x1028 };
+        let text = vec![
+            Instr::Li { rd: Reg::T0, imm: 2 },
+            Instr::Jump { target: 0x1028 },
+            nop,
+            nop,
+            nop,
+            addi,
+            nop,
+            nop,
+            bne,
+            Instr::Halt,
+        ];
+        Program::new(0x1000, text)
+    }
+
+    #[test]
+    fn a_transfer_into_the_middle_of_a_line_fetches_that_line_once() {
+        let p = mid_line_loop();
+        let mut ff = FastForward::new(&SimConfig::default(), &p);
+        assert_eq!(ff.step_n(100), Some(ArchExit::Halted));
+        assert_eq!((ff.executed(), ff.state().pc, ff.state().read_reg(Reg::T0)), (11, 0x1048, 0));
+        // Entry, line 0x1040, back to 0x1000 at the taken branch, 0x1040
+        // again; the jump within line 0x1000 fetches nothing.
+        assert_eq!(ff.mem().stats().l1i.accesses(), 4);
+    }
+
+    #[test]
+    fn a_budget_that_ends_on_a_taken_transfer_leaves_the_target_unfetched() {
+        let p = mid_line_loop();
+        let mut ff = FastForward::new(&SimConfig::default(), &p);
+        assert_eq!(ff.step_n(2), None);
+        assert_eq!((ff.executed(), ff.state().pc), (2, 0x1028));
+        assert_eq!(ff.mem().stats().l1i.accesses(), 1);
+        // The budget ends on the taken back edge too: 0x1000 is fetched
+        // when the next call lands there, not before.
+        assert_eq!(ff.step_n(4), None);
+        assert_eq!((ff.executed(), ff.state().pc), (6, 0x1028));
+        assert_eq!(ff.mem().stats().l1i.accesses(), 2);
+        assert_eq!(ff.step_n(100), Some(ArchExit::Halted));
+        assert_eq!(ff.mem().stats().l1i.accesses(), 4);
+        // Every split gives the checkpoint of the uninterrupted run.
+        let whole = |ff: FastForward<'_>| crate::Checkpoint::capture(ff).to_json().dump();
+        let mut one = FastForward::new(&SimConfig::default(), &p);
+        assert_eq!(one.step_n(100), Some(ArchExit::Halted));
+        let expected = whole(one);
+        for first in 1..=11 {
+            let mut ff = FastForward::new(&SimConfig::default(), &p);
+            let exit = ff.step_n(first);
+            assert_eq!(exit.is_some(), first == 11, "after {first}");
+            if exit.is_none() {
+                assert_eq!(ff.step_n(100), Some(ArchExit::Halted), "after {first}");
+            }
+            assert_eq!(whole(ff), expected, "split after {first}");
+        }
+    }
+
+    #[test]
+    fn falling_off_the_last_instruction_fetches_nothing_past_it() {
+        // Eight instructions fill line 0x1000; the next PC starts a line.
+        let p = Program::new(0x1000, vec![Instr::Nop; 8]);
+        let mut ff = FastForward::new(&SimConfig::default(), &p);
+        assert_eq!(ff.step_n(100), Some(ArchExit::BadPc(0x1040)));
+        assert_eq!((ff.executed(), ff.state().pc), (8, 0x1040));
+        assert_eq!(ff.mem().stats().l1i.accesses(), 1);
+        // A budget that runs out on the last instruction stops there, and
+        // the next call reports the PC.
+        let mut ff = FastForward::new(&SimConfig::default(), &p);
+        assert_eq!(ff.step_n(8), None);
+        assert_eq!((ff.executed(), ff.state().pc), (8, 0x1040));
+        assert_eq!(ff.step_n(1), Some(ArchExit::BadPc(0x1040)));
+        assert_eq!(ff.executed(), 8);
+        assert_eq!(ff.mem().stats().l1i.accesses(), 1);
     }
 
     #[test]

@@ -234,6 +234,22 @@ impl BranchPredictor {
         self.ghist = (self.ghist & !1) | u64::from(taken);
     }
 
+    /// Trains the conditional branch at `pc` with its resolved outcome, as
+    /// the functional engine sees it: index with the current history,
+    /// train that counter, then shift the outcome into the history. This
+    /// is [`predict_cond`](Self::predict_cond), then
+    /// [`train_by_index`](Self::train_by_index) and
+    /// [`set_last_history_bit`](Self::set_last_history_bit) with the
+    /// outcome, in one call: the state a detailed run holds on the correct
+    /// path once any misprediction has been repaired.
+    #[inline]
+    pub fn train_resolved(&mut self, pc: u64, taken: bool) {
+        let mask = (1u64 << self.config.gshare_bits) - 1;
+        let c = &mut self.pht[(((pc / INSTR_BYTES) ^ self.ghist) & mask) as usize];
+        *c = if taken { (*c + 1).min(3) } else { c.saturating_sub(1) };
+        self.ghist = (self.ghist << 1) | u64::from(taken);
+    }
+
     /// Captures speculative state (history, RAS top and the position of
     /// `log`) for a branch checkpoint.
     #[must_use]

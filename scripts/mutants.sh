@@ -63,6 +63,7 @@ mutant() {
 issue=crates/ooo/src/stages/issue.rs
 squash=crates/ooo/src/stages/squash.rs
 leak=crates/trace/src/leak.rs
+arch=crates/ooo/src/arch.rs
 
 mutant load-gate-off "$issue" \
     'if oldest < e.seq {' 'if oldest < e.seq && false {' \
@@ -92,8 +93,17 @@ mutant counter-mask-stays-set crates/core/src/counters.rs \
 mutant ras-restore-skips-replay crates/ooo/src/predictor.rs \
     'self.ras[slot] = old;' 'let _ = (slot, old);' \
     -p specmpk-ooo --lib predictor::tests::restore_undoes_a_push_over_a_popped_slot
-mutant no-fetch-after-transfer crates/ooo/src/arch.rs \
-    $'fx.fetch(mem, pc);\n            loop {' $'if left == n {\n                fx.fetch(mem, pc);\n            }\n            loop {' \
+mutant no-fetch-after-transfer "$arch" \
+    'fx.fetch(mem, at, hints.l1i(at));' 'if left == n { fx.fetch(mem, at, hints.l1i(at)); }' \
+    --test fast_forward warmup_goldens
+mutant line-op-missing "$arch" \
+    '&& pc(k) % LINE_BYTES < INSTR_BYTES;' '&& pc(k) % LINE_BYTES < INSTR_BYTES && k != 8;' \
+    -p specmpk-ooo --lib arch::tests::a_transfer_into_the_middle_of_a_line_fetches_that_line_once
+mutant target-one-op-off "$arch" \
+    'code.index(target).map_or(OUTSIDE, |i| i as u32)' 'code.index(target).map_or(OUTSIDE, |i| i as u32 + 1)' \
+    --test fast_forward warmup_goldens
+mutant hint-without-tag-check crates/mem/src/ways.rs \
+    'if self.tags.get(way) == Some(&tag) {' 'if way < self.tags.len() {' \
     --test fast_forward warmup_goldens
 mutant dtlb-hit-keeps-lru crates/mem/src/tlb.rs \
     $'self.clock += 1;\n        self.ways.touch(way, self.clock);\n    }\n\n    /// Promotes' \

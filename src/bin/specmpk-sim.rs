@@ -62,7 +62,7 @@ OPTIONS:
     --policy P           a registered policy key, or 'all' (default: all)
     --protection S       'scheme' (the workload's own, default), 'none', 'nop'
     --instructions N     retired-instruction budget (default 500000)
-    --rob-pkru N         ROB_pkru entries for SpecMPK (default 8)
+    --rob-pkru N         ROB_pkru entries for SpecMPK (at least 1, default 8)
     --fast-forward N     functionally execute N instructions first (warming
                          caches, TLB and branch predictor), then run the
                          detailed pipeline from that point with the usual
@@ -138,6 +138,9 @@ fn parse(mut argv: std::env::Args) -> Result<Args, String> {
             "--rob-pkru" => {
                 args.rob_pkru =
                     value("--rob-pkru")?.parse().map_err(|e| format!("--rob-pkru: {e}"))?;
+                if args.rob_pkru == 0 {
+                    return Err("--rob-pkru: ROB_pkru needs at least one entry".into());
+                }
             }
             "--fast-forward" => {
                 args.fast_forward =
