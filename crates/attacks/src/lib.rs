@@ -50,7 +50,7 @@ use specmpk_core::PolicyRef;
 use specmpk_isa::{AluOp, Assembler, BranchCond, DataSegment, MemWidth, Operand, Program, Reg};
 use specmpk_mpk::{Pkey, Pkru};
 use specmpk_ooo::{Core, ExitReason, SimConfig};
-use specmpk_trace::LeakObserver;
+use specmpk_trace::{LeakObserver, NullSink, TraceSink};
 
 /// Which PoC an [`AttackProgram`] implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -524,19 +524,7 @@ pub fn store_forward_overflow(poison: u8) -> AttackProgram {
 /// from outside the program (the receiver's view).
 #[must_use]
 pub fn run_attack(attack: &AttackProgram, policy: PolicyRef) -> AttackOutcome {
-    let config = SimConfig::with_policy(policy);
-    let mut core = Core::new(config, attack.program());
-    let result = core.run();
-    let mem = core.mem();
-    let latencies: Vec<u64> = (0..PROBE_SLOTS)
-        .map(|i| mem.probe_data_latency(ARRAY2_BASE + i as u64 * PROBE_STRIDE))
-        .collect();
-    // Threshold: halfway between the L1 hit and DRAM latencies (see
-    // `AttackOutcome::new` for the classifier contract).
-    let hierarchy = config.mem.hierarchy;
-    let threshold =
-        (hierarchy.l1d.latency + hierarchy.l3.latency + hierarchy.dram_extra_latency) / 2;
-    AttackOutcome::new(result.exit, latencies, threshold)
+    run_attack_with(attack, policy, NullSink).0
 }
 
 /// Like [`run_attack`], but with the speculative-access ledger attached:
@@ -550,8 +538,18 @@ pub fn run_attack_observed(
     attack: &AttackProgram,
     policy: PolicyRef,
 ) -> (AttackOutcome, LeakObserver) {
+    run_attack_with(attack, policy, LeakObserver::default())
+}
+
+/// Runs an attack under `policy` with `sink` attached, then probes the
+/// receiver's array; hands the sink back.
+fn run_attack_with<S: TraceSink>(
+    attack: &AttackProgram,
+    policy: PolicyRef,
+    sink: S,
+) -> (AttackOutcome, S) {
     let config = SimConfig::with_policy(policy);
-    let mut core = Core::with_sink(config, attack.program(), LeakObserver::default());
+    let mut core = Core::with_sink(config, attack.program(), sink);
     let result = core.run();
     let latencies: Vec<u64> = {
         let mem = core.mem();
@@ -559,6 +557,8 @@ pub fn run_attack_observed(
             .map(|i| mem.probe_data_latency(ARRAY2_BASE + i as u64 * PROBE_STRIDE))
             .collect()
     };
+    // Threshold: halfway between the L1 hit and DRAM latencies (see
+    // `AttackOutcome::new` for the classifier contract).
     let hierarchy = config.mem.hierarchy;
     let threshold =
         (hierarchy.l1d.latency + hierarchy.l3.latency + hierarchy.dram_extra_latency) / 2;

@@ -144,7 +144,9 @@ impl ActiveList {
         self.head
     }
 
-    /// Physical slot of the `i`-th oldest live entry.
+    /// Physical slot of the `i`-th oldest live entry (the per-cycle
+    /// audit's age-order walk).
+    #[cfg(any(test, debug_assertions))]
     #[inline]
     pub(crate) fn slot_of(&self, i: usize) -> usize {
         debug_assert!(i < self.len);
@@ -211,13 +213,6 @@ impl ActiveList {
         self.len -= 1;
         (self.head + self.len) & self.mask
     }
-
-    /// Drops every entry (full pipeline flush). Lane contents are plain
-    /// values (no heap state since the checkpoints went inline) and are
-    /// reset on slot reuse by [`ActiveList::alloc_back`].
-    pub(crate) fn clear(&mut self) {
-        self.len = 0;
-    }
 }
 
 #[cfg(test)]
@@ -248,18 +243,5 @@ mod tests {
         let popped = al.pop_back();
         assert_eq!(popped, slot);
         assert!(!al.contains(slot, 3), "popped slot is no longer live");
-    }
-
-    #[test]
-    fn clear_empties_the_list() {
-        let mut al = ActiveList::new(8);
-        for seq in 0..5u64 {
-            let slot = al.alloc_back();
-            al.seq[slot] = seq;
-        }
-        al.clear();
-        assert!(al.is_empty());
-        let slot = al.alloc_back();
-        assert_eq!(al.logical_of(slot), 0);
     }
 }

@@ -71,8 +71,8 @@ pub struct ArchState {
     pub pkru: Pkru,
 }
 
-/// Per-instruction ALU semantics (shared by interpreter, fused rename and
-/// the issue stage).
+/// Per-instruction ALU semantics (shared by the interpreter and the issue
+/// stage).
 #[must_use]
 #[inline]
 pub fn alu_value(op: AluOp, a: u64, b: u64) -> u64 {

@@ -72,13 +72,6 @@ pub struct SimConfig {
     /// every skipped cycle is charged to stats, histograms and the guest
     /// profile identically; the knob exists for differential testing.
     pub idle_skip: bool,
-    /// Fused rename+issue fast path: ALU/LI instructions whose sources
-    /// are all ready at rename, while the IQ is empty, execute at rename
-    /// and bypass the IQ (their issue-width/ALU budget is consumed next
-    /// cycle, exactly when the normal path would have selected them).
-    /// Cycle-exact; disabled automatically while a trace sink is
-    /// attached so per-instruction Issue events stay complete.
-    pub fuse_rename_issue: bool,
 }
 
 impl Default for SimConfig {
@@ -105,7 +98,6 @@ impl Default for SimConfig {
             max_cycles: 200_000_000,
             max_instructions: 0,
             idle_skip: true,
-            fuse_rename_issue: true,
         }
     }
 }

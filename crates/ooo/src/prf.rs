@@ -123,19 +123,6 @@ impl RegFile {
         self.release(new);
     }
 
-    /// Full-pipeline flush: the speculative map collapses to the committed
-    /// one and the free list is rebuilt from scratch.
-    pub fn flush_to_committed(&mut self) {
-        self.rmt = self.amt;
-        let live: std::collections::HashSet<PhysReg> = self.amt.iter().copied().collect();
-        self.free = (0..self.values.len() as PhysReg).rev().filter(|p| !live.contains(p)).collect();
-        for p in 0..self.values.len() {
-            if !live.contains(&(p as PhysReg)) {
-                self.ready[p] = false;
-            }
-        }
-    }
-
     /// The free list, the Architectural Map Table and the Rename Map
     /// Table, for the pipeline's register-conservation and rename-map
     /// audits.
@@ -216,20 +203,6 @@ mod tests {
         assert!(rf.rename_dest(Reg::T0).is_some());
         assert!(rf.rename_dest(Reg::T0).is_some());
         assert!(rf.rename_dest(Reg::T0).is_none());
-    }
-
-    #[test]
-    fn flush_to_committed_reclaims_speculative_registers() {
-        let mut rf = RegFile::new(64);
-        let (n1, _) = rf.rename_dest(Reg::T0).unwrap();
-        let (_n2, _) = rf.rename_dest(Reg::T1).unwrap();
-        rf.write(n1, 5);
-        rf.commit(Reg::T0, n1); // T0's new mapping committed
-        rf.flush_to_committed();
-        assert_eq!(rf.map_source(Reg::T0), n1);
-        assert_eq!(rf.map_source(Reg::T1), Reg::T1.index() as PhysReg);
-        assert_eq!(rf.free_count(), 32);
-        assert_eq!(rf.committed_value(Reg::T0), 5);
     }
 
     #[test]

@@ -43,19 +43,6 @@ pub(crate) fn issue<S: TraceSink>(st: &mut PipelineState, cx: &mut StageCtx<'_, 
     let mut free = [c.alu_units, c.branch_units, c.load_ports, c.store_ports];
     let mut issued_total = 0usize;
 
-    // Instructions fused at last cycle's rename would have sat at the IQ
-    // front (the IQ was empty when they fused); claim the width and ALU
-    // slots they would have been selected into first. Their count is
-    // capped at min(width, alu_units) by rename, so this never goes
-    // negative.
-    if !st.fused_pending.is_empty() {
-        let n = st.fused_pending.len();
-        debug_assert!(n <= free[usize::from(unit::ALU)] && n <= st.config.width);
-        free[usize::from(unit::ALU)] -= n;
-        issued_total += n;
-        st.fused_pending.clear();
-    }
-
     // The ready lists hold only register-ready entries, in seq (age)
     // order. Entries still waiting on a source register are not in them —
     // they could not issue, and select has no side effect on them. Select

@@ -346,7 +346,7 @@ pub(crate) struct PipelineState {
     /// source is written.
     pub(crate) iq: ReadyQueue,
     /// Issue-queue occupancy: every `Queued` entry, ready or not. The
-    /// IQ-full check and the fusion gate read this, not the ready lists.
+    /// IQ-full check reads this, not the ready lists.
     pub(crate) iq_len: usize,
     /// Load-queue occupancy (in-flight loads and `clflush`es).
     pub(crate) lq_len: usize,
@@ -381,10 +381,6 @@ pub(crate) struct PipelineState {
     /// PC charged for `rename_block` by the guest profile (0 when the
     /// front-end is empty), mirroring the per-cycle charge in rename.
     pub(crate) rename_block_pc: u64,
-    /// Seqs of instructions taken through the fused rename+issue fast
-    /// path this cycle; next cycle's issue stage consumes their width and
-    /// ALU budget exactly as if they had been selected from the IQ front.
-    pub(crate) fused_pending: Vec<Seq>,
 }
 
 impl PipelineState {
@@ -441,7 +437,6 @@ impl PipelineState {
             work: false,
             rename_block: None,
             rename_block_pc: 0,
-            fused_pending: Vec::new(),
         }
     }
 

@@ -1,14 +1,7 @@
 //! Rename: structural-hazard checks, register/PKRU renaming, Active-List
 //! allocation — and the per-cycle CPI-stack attribution audit.
-//!
-//! Straight-line ALU/LI runs can additionally take the *fused
-//! rename+issue* fast path: when the issue queue is empty and every
-//! source is already ready, the instruction executes here and never
-//! enters the IQ. Next cycle's issue stage consumes the width/ALU budget
-//! the instruction would have used, so the fast path is cycle-exact (see
-//! `DESIGN.md` §13 for the entry/exit conditions).
 
-use specmpk_isa::{AluOp, Instr, InstrClass, Operand};
+use specmpk_isa::{Instr, InstrClass};
 use specmpk_trace::{TraceEvent, TraceSink};
 
 use super::{AlState, MemKind, PipelineState, SqEntry, SrcRegs, StageCtx};
@@ -20,20 +13,6 @@ pub(crate) fn rename<S: TraceSink>(st: &mut PipelineState, cx: &mut StageCtx<'_,
     // can never silently double-count or drop a CPI-stack contribution.
     #[cfg(debug_assertions)]
     let slot_stalls_before = st.stats.rename_slot_stalls_total();
-
-    // Fusion is legal only for an uninterrupted fused prefix of this
-    // cycle's rename group over an empty IQ: then the fused instructions
-    // are provably the oldest ready work next cycle and consume the issue
-    // budget first, exactly as the IQ walk would have ordered them. The
-    // gate is occupancy (`iq_len`), not the ready queue: an older entry
-    // that wakes next cycle must still be selected before a fused group.
-    // A trace sink disables the path so per-instruction Issue events stay
-    // complete.
-    let mut fuse_ok = st.config.fuse_rename_issue
-        && !cx.sink.enabled()
-        && st.iq_len == 0
-        && st.fused_pending.is_empty();
-    let fuse_cap = st.config.width.min(st.config.alu_units);
 
     let mut renamed = 0usize;
     let mut block: Option<RenameStall> = None;
@@ -114,22 +93,10 @@ pub(crate) fn rename<S: TraceSink>(st: &mut PipelineState, cx: &mut StageCtx<'_,
             srcs.len += 1;
         }
         // Unready-source count: seeds the AL `waits` scoreboard lane
-        // (decremented by producers' writebacks) and gates fusion.
+        // (decremented by producers' writebacks).
         let mut waits = 0u8;
         for &p in srcs.as_slice() {
             waits += u8::from(!st.rf.is_ready(p));
-        }
-
-        // Fused rename+issue fast path (plain ALU/LI only — no memory,
-        // no PKRU interaction, no control flow).
-        let fused = fuse_ok
-            && st.fused_pending.len() < fuse_cap
-            && matches!(instr, Instr::Alu { .. } | Instr::Li { .. })
-            && waits == 0;
-        if needs_iq && !fused {
-            // An instruction entered the IQ: younger fusions would jump
-            // the issue order ahead of it.
-            fuse_ok = false;
         }
 
         let pkru_source = match class {
@@ -153,34 +120,7 @@ pub(crate) fn rename<S: TraceSink>(st: &mut PipelineState, cx: &mut StageCtx<'_,
             (r, new, prev)
         });
         let slot = st.al.alloc_back();
-        let (state, result) = if fused {
-            // Execute now: every source is final (a ready physical
-            // register is written exactly once), so the result equals
-            // what issue would compute next cycle. The completion event
-            // lands at rename+1+latency — identical to issuing at
-            // rename+1 with the operation's latency.
-            let (value, latency) = match instr {
-                Instr::Alu { op, src2, .. } => {
-                    let a = st.rf.read(srcs.regs[0]);
-                    let b = match src2 {
-                        Operand::Reg(_) => st.rf.read(srcs.regs[1]),
-                        Operand::Imm(imm) => crate::arch::imm_operand(imm),
-                    };
-                    let latency = if op == AluOp::Mul { st.config.mul_latency } else { 1 };
-                    (crate::arch::alu_value(op, a, b), latency)
-                }
-                Instr::Li { imm, .. } => (crate::arch::li_value(imm), 1),
-                _ => unreachable!("fusion filter admits only ALU/LI"),
-            };
-            st.schedule(seq, slot, 1 + latency);
-            st.fused_pending.push(seq);
-            st.stats.fused_rename_issue_instrs += 1;
-            (AlState::Issued, Some(value))
-        } else if needs_iq {
-            (AlState::Queued, None)
-        } else {
-            (AlState::Completed, None)
-        };
+        let state = if needs_iq { AlState::Queued } else { AlState::Completed };
         match mem_kind {
             Some(MemKind::Load | MemKind::Flush) => st.lq_len += 1,
             Some(MemKind::Store) => st.sq.push(SqEntry {
@@ -226,7 +166,7 @@ pub(crate) fn rename<S: TraceSink>(st: &mut PipelineState, cx: &mut StageCtx<'_,
         st.al.pkru_source[slot] = pkru_source;
         st.al.pkru_tag[slot] = pkru_tag;
         st.al.mem_kind[slot] = mem_kind;
-        st.al.result[slot] = result;
+        st.al.result[slot] = None;
         st.al.rename_cycle[slot] = st.cycle;
         st.al.waits[slot] = waits;
         st.al.cold[slot].branch = branch;

@@ -1,4 +1,5 @@
-//! Recovery: branch-misprediction squash and the full pipeline flush.
+//! Recovery: branch-misprediction squash and the full pipeline flush, both
+//! one squash batch over the same youngest-first victim walk.
 
 use specmpk_trace::{SquashCause, TraceEvent, TraceSink};
 
@@ -26,29 +27,27 @@ fn note_residue<S: TraceSink>(st: &PipelineState, cx: &mut StageCtx<'_, S>, vict
     }
 }
 
-/// Squashes everything younger than `seq` (at Active-List `slot`) and
-/// redirects fetch.
-///
-/// `cause` classifies the recovery for the trace/journal (the stats
-/// histograms are cause-agnostic, as before).
-pub(crate) fn squash_after<S: TraceSink>(
+/// One squash batch: kills every Active-List entry past the oldest `keep`,
+/// youngest-first, charging the batch to the entry at `trigger` (the
+/// mispredicted branch, or the faulting head, which is then a victim
+/// itself). Each victim undoes its rename and gives back its IQ/LQ
+/// occupancy; the caller cuts the seq-ordered queues and restores the
+/// PKRU engine.
+fn squash_batch<S: TraceSink>(
     st: &mut PipelineState,
     cx: &mut StageCtx<'_, S>,
-    seq: Seq,
-    slot: usize,
-    redirect_to: u64,
+    trigger: usize,
+    keep: usize,
     cause: SquashCause,
 ) {
-    let t0 = st.stats.host.clock();
-    debug_assert!(st.al.contains(slot, seq), "squashing branch is in flight");
-    let idx = st.al.logical_of(slot);
-    let depth = (st.al.len() - idx - 1) as u64;
+    let seq = st.al.seq[trigger];
+    let depth = (st.al.len() - keep) as u64;
     st.stats.hist.squash_depth.record(depth);
     if st.stats.guest.enabled() {
         // Charge the batch to its triggering PC, and (before victims are
         // popped) let the site table attribute it to the youngest
-        // surviving in-flight WRPKRU.
-        st.stats.guest.charge_squash_trigger(st.al.pc[slot]);
+        // in-flight WRPKRU at or before the trigger.
+        st.stats.guest.charge_squash_trigger(st.al.pc[trigger]);
         st.stats.guest.note_squash_batch(seq);
     }
     if cx.sink.enabled() {
@@ -60,10 +59,10 @@ pub(crate) fn squash_after<S: TraceSink>(
             rob: st.al.len() as u64,
         });
     }
-    // Drop younger AL entries youngest-first, freeing their resources.
-    // Undoing each victim's rename in this order walks the rename map back
-    // to exactly what the squashing instruction saw after its own rename.
-    while st.al.len() > idx + 1 {
+    // Undoing each victim's rename youngest-first walks the rename map
+    // back to exactly what the youngest survivor saw after its own rename
+    // (to the committed map when nothing survives).
+    while st.al.len() > keep {
         let victim = st.al.pop_back();
         if let Some((reg, new, prev)) = st.al.dest[victim] {
             st.rf.unrename(reg, new, prev);
@@ -96,13 +95,30 @@ pub(crate) fn squash_after<S: TraceSink>(
         }
         st.stats.squashed += 1;
     }
-    let cut = seq;
+}
+
+/// Squashes everything younger than `seq` (at Active-List `slot`) and
+/// redirects fetch.
+///
+/// `cause` classifies the recovery for the trace/journal (the stats
+/// histograms are cause-agnostic, as before).
+pub(crate) fn squash_after<S: TraceSink>(
+    st: &mut PipelineState,
+    cx: &mut StageCtx<'_, S>,
+    seq: Seq,
+    slot: usize,
+    redirect_to: u64,
+    cause: SquashCause,
+) {
+    let t0 = st.stats.host.clock();
+    debug_assert!(st.al.contains(slot, seq), "squashing branch is in flight");
+    let keep = st.al.logical_of(slot) + 1;
+    squash_batch(st, cx, slot, keep, cause);
     // The ready lists and the store queue are in seq order: cut their
     // tails.
-    st.iq.truncate_after(cut);
-    st.sq.truncate(st.sq.partition_point(|s| s.seq <= cut));
-    st.events.retain(|e| e.seq <= cut);
-    st.fused_pending.retain(|&s| s <= cut);
+    st.iq.truncate_after(seq);
+    st.sq.truncate(st.sq.partition_point(|s| s.seq <= seq));
+    st.events.retain(|e| e.seq <= seq);
     st.frontq.clear();
     // Restore the PKRU and predictor state from the branch's checkpoints.
     let info = st.al.cold[slot].branch.as_mut().expect("branch info");
@@ -121,61 +137,22 @@ pub(crate) fn squash_after<S: TraceSink>(
     st.stats.host.stop(span::SQUASH, t0);
 }
 
-/// Flushes all speculative state (fault trap path).
+/// Flushes all speculative state at a fault raised by the Active-List
+/// head: one batch that squashes every entry, the head included. The
+/// caller redirects fetch.
 pub(crate) fn full_flush<S: TraceSink>(st: &mut PipelineState, cx: &mut StageCtx<'_, S>) {
     let t0 = st.stats.host.clock();
-    if cx.sink.enabled() {
-        if !st.al.is_empty() {
-            let head = st.al.head_slot();
-            cx.sink.record(TraceEvent::SquashBatch {
-                seq: st.al.seq[head],
-                cycle: st.cycle,
-                depth: st.al.len() as u64,
-                cause: SquashCause::FaultFlush,
-                rob: st.al.len() as u64,
-            });
-        }
-        for i in 0..st.al.len() {
-            let slot = st.al.slot_of(i);
-            note_residue(st, cx, slot);
-            cx.sink.record(TraceEvent::Squash { seq: st.al.seq[slot], cycle: st.cycle });
-        }
-    }
-    if st.stats.guest.enabled() {
-        if !st.al.is_empty() {
-            // The flush squashes everything including the faulting head,
-            // so no in-flight WRPKRU survives to be charged with it —
-            // the batch is still counted, and every in-flight WRPKRU is
-            // retired from the site table as squashed.
-            let head = st.al.head_slot();
-            st.stats.guest.charge_squash_trigger(st.al.pc[head]);
-            st.stats.guest.note_squash_batch(st.al.seq[head]);
-        }
-        for i in 0..st.al.len() {
-            let slot = st.al.slot_of(i);
-            if st.al.pkru_tag[slot].is_some() {
-                st.stats.guest.wrpkru_squash(
-                    st.al.seq[slot],
-                    st.al.pc[slot],
-                    st.cycle - st.al.rename_cycle[slot],
-                );
-            }
-        }
-    }
-    st.al.clear();
+    debug_assert!(!st.al.is_empty(), "a fault is raised by the Active-List head");
+    squash_batch(st, cx, st.al.head_slot(), 0, SquashCause::FaultFlush);
     st.iq.clear();
-    st.iq_len = 0;
-    st.lq_len = 0;
     st.sq.clear();
     st.events.clear();
-    st.fused_pending.clear();
     st.frontq.clear();
     // The IQ is empty, so every wake-up subscription is stale; clearing
     // here (flushes are rare) keeps the per-register lists short.
     for waiters in &mut st.wakeup {
         waiters.clear();
     }
-    st.rf.flush_to_committed();
     st.engine.flush_speculative();
     st.last_fetch_line = None;
     st.fetch_busy_until = st.cycle + 1;

@@ -205,8 +205,8 @@ pub struct SimStats {
     /// Cycles the idle-skip bulk advance jumped over (each one charged
     /// exactly as if it had been stepped; see `DESIGN.md` §13).
     pub idle_cycles_skipped: u64,
-    /// Instructions that took the fused rename+issue fast path (executed
-    /// at rename, never entering the issue queue).
+    /// Always 0: the fused rename+issue fast path it counted is gone.
+    /// Kept only for readers of the old field.
     pub fused_rename_issue_instrs: u64,
     /// Cycles in which rename processed zero instructions, by cause
     /// (indexed per [`RenameStall`]).
@@ -369,14 +369,12 @@ impl SimStats {
         // Only present when profiling actually ran: artifacts stay
         // byte-identical with observability disabled.
         if self.host.has_samples() {
-            // The fast-path counters are host-speed observability (they
-            // never change simulated outcomes), so they ride the same
+            // The fast-path counter is host-speed observability (it
+            // never changes simulated outcomes), so it rides the same
             // gate as the span profile.
             out.set(
                 "fast_path",
-                Json::object()
-                    .with("idle_cycles_skipped", self.idle_cycles_skipped)
-                    .with("fused_rename_issue_instrs", self.fused_rename_issue_instrs),
+                Json::object().with("idle_cycles_skipped", self.idle_cycles_skipped),
             );
             out.set("host_profile", self.host.to_json());
         }

@@ -282,15 +282,14 @@ fn check_against_reference(seed: u64, program: &Program) -> ArchExit {
             );
         }
         if matches!(exit, ArchExit::BadPc(_)) {
-            // The exit needs no fast path: with both off it comes on the
+            // The exit needs no idle skip: with it off it comes on the
             // same cycle.
-            let mut slow = SimConfig::with_policy(policy);
-            (slow.idle_skip, slow.fuse_rename_issue) = (false, false);
+            let slow = SimConfig { idle_skip: false, ..SimConfig::with_policy(policy) };
             let slow = Core::new(slow, program).run();
             assert_eq!(
                 (&slow.exit, slow.stats.cycles),
                 (&result.exit, result.stats.cycles),
-                "seed {seed} policy {policy}: fast paths moved the exit"
+                "seed {seed} policy {policy}: idle skip moved the exit"
             );
         }
     }

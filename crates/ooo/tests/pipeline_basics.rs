@@ -1,17 +1,12 @@
 //! End-to-end correctness tests for the out-of-order core.
 
+mod common;
+
+use common::program;
 use specmpk_core::{registry, PolicyRef};
 use specmpk_isa::{AluOp, Assembler, BranchCond, DataSegment, MemWidth, Operand, Program, Reg};
 use specmpk_mpk::{Pkey, Pkru};
 use specmpk_ooo::{Core, ExitReason, FaultMode, SimConfig};
-
-fn program(asm: Assembler, segments: Vec<DataSegment>) -> Program {
-    let mut p = Program::new(asm.base(), asm.assemble().unwrap());
-    for s in segments {
-        p.add_segment(s);
-    }
-    p
-}
 
 fn run_with(policy: PolicyRef, p: &Program) -> (specmpk_ooo::SimResult, Core) {
     let mut core = Core::new(SimConfig::with_policy(policy), p);

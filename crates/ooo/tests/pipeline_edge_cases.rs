@@ -2,18 +2,13 @@
 //! stalls, RDPKRU semantics, deep speculation, TLB-deferral paths, and
 //! fault precision.
 
+mod common;
+
+use common::program;
 use specmpk_core::{registry, PolicyRef};
-use specmpk_isa::{AluOp, Assembler, BranchCond, DataSegment, MemWidth, Operand, Program, Reg};
+use specmpk_isa::{AluOp, Assembler, BranchCond, DataSegment, MemWidth, Operand, Reg};
 use specmpk_mpk::{Pkey, Pkru};
 use specmpk_ooo::{Core, ExitReason, RenameStall, SimConfig};
-
-fn program(asm: Assembler, segments: Vec<DataSegment>) -> Program {
-    let mut p = Program::new(asm.base(), asm.assemble().unwrap());
-    for s in segments {
-        p.add_segment(s);
-    }
-    p
-}
 
 #[test]
 fn rdpkru_reads_committed_pkru_under_every_policy() {

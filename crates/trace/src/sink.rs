@@ -643,6 +643,23 @@ impl<A: TraceSink, B: TraceSink> TraceSink for Tee<A, B> {
     }
 }
 
+/// An optional sink: `None` is disabled, so a driver composes every
+/// observer it may attach into one [`Tee`] type and leaves out the ones a
+/// run did not ask for.
+impl<S: TraceSink> TraceSink for Option<S> {
+    #[inline]
+    fn enabled(&self) -> bool {
+        self.as_ref().is_some_and(TraceSink::enabled)
+    }
+
+    #[inline(always)]
+    fn record(&mut self, event: TraceEvent) {
+        if let Some(sink) = self {
+            sink.record(event);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use specmpk_isa::Reg;
@@ -807,5 +824,15 @@ mod tests {
         assert_eq!(tee.b.0.len(), 1);
         let null_tee = Tee::new(NullSink, NullSink);
         assert!(!null_tee.enabled());
+    }
+
+    #[test]
+    fn tee_with_none_side_only_feeds_the_present_sink() {
+        let mut tee: Tee<Option<Events>, _> = Tee::new(None, Some(Events::default()));
+        assert!(tee.enabled());
+        tee.record(TraceEvent::LoadReplay { seq: 1, cycle: 2 });
+        assert_eq!(tee.b.as_ref().map(|e| e.0.len()), Some(1));
+        let absent: Tee<Option<Events>, Option<NullSink>> = Tee::new(None, Some(NullSink));
+        assert!(!absent.enabled());
     }
 }

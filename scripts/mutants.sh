@@ -84,9 +84,13 @@ mutant squash-leaks-register crates/ooo/src/prf.rs \
     'self.release(new);' 'let _ = new;' \
     -p specmpk-ooo --test differential
 mutant walk-back-oldest-first "$squash" \
-    $'while st.al.len() > idx + 1 {\n        let victim = st.al.pop_back();' \
-    $'for victim in (idx + 1..st.al.len()).map(|i| st.al.slot_of(i)).collect::<Vec<_>>() {\n        st.al.pop_back();' \
+    $'while st.al.len() > keep {\n        let victim = st.al.pop_back();' \
+    $'for victim in (keep..st.al.len()).map(|i| st.al.slot_of(i)).collect::<Vec<_>>() {\n        st.al.pop_back();' \
     -p specmpk-ooo --test differential
+mutant flush-drops-pkru-free "$squash" \
+    $'            if let Some(tag) = st.al.pkru_tag[victim] {\n                cx.sink.record(TraceEvent::RobPkruFree {\n                    seq: st.al.seq[victim],\n                    cycle: st.cycle,\n                    tag: tag.raw(),\n                });\n            }\n' \
+    '' \
+    --test kard_use_case fault_flush_reports_its_victims_like_a_squash
 mutant counter-mask-stays-set crates/core/src/counters.rs \
     'self.access_disable_mask &= !(1 << k);' '' \
     -p specmpk-core --lib engine::tests::retirement_drains_counters_and_commits

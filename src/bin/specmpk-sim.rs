@@ -243,28 +243,20 @@ fn run_one<S: TraceSink>(
     (result, core.into_sink())
 }
 
-/// Runs one policy over `sink`, additionally teeing the event stream into
-/// a [`LeakObserver`] written to `ledger_path` when `--leak-ledger` asked
-/// for one. The base sink is handed back either way so the caller's
-/// rendering path is oblivious to the wrap.
-fn run_one_with_ledger<S: TraceSink>(
-    args: &Args,
-    config: SimConfig,
-    program: &specmpk::isa::Program,
-    checkpoint: Option<&Checkpoint>,
-    label: &str,
-    sink: S,
-    ledger_path: Option<&Path>,
-) -> Result<(specmpk::ooo::SimResult, S), String> {
-    match ledger_path {
-        None => Ok(run_one(args, config, program, checkpoint, label, sink)),
-        Some(path) => {
-            let tee = Tee::new(sink, LeakObserver::default());
-            let (result, tee) = run_one(args, config, program, checkpoint, label, tee);
-            tee.b.write_to(path).map_err(|e| format!("writing {}: {e}", path.display()))?;
-            Ok((result, tee.a))
-        }
+/// Writes an observer's output to its per-policy path under `base`, when
+/// its flag attached one.
+fn write_observer<O>(
+    base: Option<&Path>,
+    observer: Option<O>,
+    policy: PolicyRef,
+    n_policies: usize,
+    write: impl Fn(&O, &Path) -> std::io::Result<()>,
+) -> Result<(), String> {
+    if let (Some(base), Some(observer)) = (base, observer) {
+        let path = per_policy_path(base, policy, n_policies);
+        write(&observer, &path).map_err(|e| format!("writing {}: {e}", path.display()))?;
     }
+    Ok(())
 }
 
 fn run_workload(args: &Args, workload: &Workload) -> Result<(), String> {
@@ -318,70 +310,25 @@ fn run_workload(args: &Args, workload: &Workload) -> Result<(), String> {
         let mut config = SimConfig::with_policy(policy).with_rob_pkru_size(args.rob_pkru);
         config.max_instructions = args.instructions;
         let label = format!("{}/{}", workload.name(), policy.key());
-        let write = |path: &Path, out: std::io::Result<()>| {
-            out.map_err(|e| format!("writing {}: {e}", path.display()))
-        };
-        let ledger_path =
-            args.leak_ledger.as_deref().map(|base| per_policy_path(base, policy, selected.len()));
-        let ledger_path = ledger_path.as_deref();
-        let result = match (&args.trace, &args.journal) {
-            (Some(trace), Some(journal)) => {
-                let sink = Tee::new(PipeTracer::default(), Journal::default());
-                let (result, sink) = run_one_with_ledger(
-                    args,
-                    config,
-                    &program,
-                    checkpoint.as_ref(),
-                    &label,
-                    sink,
-                    ledger_path,
-                )?;
-                let path = per_policy_path(trace, policy, selected.len());
-                write(&path, sink.a.write_to(&path))?;
-                let path = per_policy_path(journal, policy, selected.len());
-                write(&path, sink.b.write_to(&path))?;
-                result
-            }
-            (Some(trace), None) => {
-                let (result, sink) = run_one_with_ledger(
-                    args,
-                    config,
-                    &program,
-                    checkpoint.as_ref(),
-                    &label,
-                    PipeTracer::default(),
-                    ledger_path,
-                )?;
-                let path = per_policy_path(trace, policy, selected.len());
-                write(&path, sink.write_to(&path))?;
-                result
-            }
-            (None, Some(journal)) => {
-                let (result, sink) = run_one_with_ledger(
-                    args,
-                    config,
-                    &program,
-                    checkpoint.as_ref(),
-                    &label,
-                    Journal::default(),
-                    ledger_path,
-                )?;
-                let path = per_policy_path(journal, policy, selected.len());
-                write(&path, sink.write_to(&path))?;
-                result
-            }
-            (None, None) => {
-                run_one_with_ledger(
-                    args,
-                    config,
-                    &program,
-                    checkpoint.as_ref(),
-                    &label,
-                    NullSink,
-                    ledger_path,
-                )?
-                .0
-            }
+        let result = if args.trace.is_none() && args.journal.is_none() && args.leak_ledger.is_none()
+        {
+            run_one(args, config, &program, checkpoint.as_ref(), &label, NullSink).0
+        } else {
+            // One event stream into every observer a flag asked for.
+            let sink = Tee::new(
+                Tee::new(
+                    args.trace.as_ref().map(|_| PipeTracer::default()),
+                    args.journal.as_ref().map(|_| Journal::default()),
+                ),
+                args.leak_ledger.as_ref().map(|_| LeakObserver::default()),
+            );
+            let (result, Tee { a: Tee { a: tracer, b: journal }, b: ledger }) =
+                run_one(args, config, &program, checkpoint.as_ref(), &label, sink);
+            let n = selected.len();
+            write_observer(args.leak_ledger.as_deref(), ledger, policy, n, LeakObserver::write_to)?;
+            write_observer(args.trace.as_deref(), tracer, policy, n, PipeTracer::write_to)?;
+            write_observer(args.journal.as_deref(), journal, policy, n, Journal::write_to)?;
+            result
         };
         let base = *baseline.get_or_insert(result.stats.ipc());
         print_stats(policy, &result.stats, base);

@@ -11,6 +11,9 @@
 //! `SPECMPK_BLESS=1 cargo test --test codegen_goldens` — but only after an
 //! intentional change to the generated programs.
 
+mod common;
+
+use common::check_golden;
 use specmpk::isa::{encode, Program};
 use specmpk::workloads::{standard_suite, Workload};
 
@@ -71,14 +74,5 @@ fn generated_programs_match_the_committed_goldens() {
             lines += &row(w.profile.name, builder, &build(&w));
         }
     }
-    if std::env::var_os("SPECMPK_BLESS").is_some() {
-        std::fs::write(FIXTURE, &lines).expect("write codegen goldens fixture");
-        return;
-    }
-    let golden = std::fs::read_to_string(FIXTURE)
-        .expect("missing tests/goldens/codegen_goldens.tsv — run once with SPECMPK_BLESS=1");
-    for (want, got) in golden.lines().zip(lines.lines()) {
-        assert_eq!(want, got, "generated program diverged from the goldens");
-    }
-    assert_eq!(golden, lines, "codegen goldens row set changed");
+    check_golden(FIXTURE, &lines, "generated program");
 }

@@ -5,26 +5,14 @@
 //! checkpoint's serialized bytes must not depend on when, how often, or at
 //! what worker count it was produced.
 
+mod common;
+
+use common::{check_golden, interpret, short};
 use specmpk::core_model::registry;
 use specmpk::isa::{Program, Reg};
-use specmpk::mpk::Pkru;
-use specmpk::ooo::arch::{ArchExit, Interp};
-use specmpk::ooo::{ArchState, Checkpoint, Core, ExitReason, FastForward, SimConfig};
-use specmpk::workloads::{standard_suite, Workload};
-
-fn short(workload: &Workload, iterations: u32) -> Workload {
-    let mut profile = workload.profile;
-    profile.driver_iterations = iterations;
-    Workload::from_profile(profile)
-}
-
-/// Runs the reference interpreter until `program` halts: the final state
-/// and the instruction count.
-fn interpret(program: &Program) -> (ArchState, u64) {
-    let mut machine = Interp::new(program, Pkru::ALL_ACCESS);
-    assert_eq!(machine.step_n(20_000_000), Some(ArchExit::Halted), "reference run must halt");
-    (machine.state().clone(), machine.executed())
-}
+use specmpk::ooo::arch::ArchExit;
+use specmpk::ooo::{Checkpoint, Core, ExitReason, FastForward, SimConfig};
+use specmpk::workloads::standard_suite;
 
 /// Fast-forward exactly `k` instructions (the program must not end first)
 /// and capture the warm state.
@@ -381,12 +369,6 @@ mod warmup_goldens {
             assert_eq!(resumed.step_n(LEG), None, "{name} ended during its second leg");
             lines += &row(name, &Checkpoint::capture(resumed));
         }
-        if std::env::var_os("SPECMPK_BLESS").is_some() {
-            std::fs::write(FIXTURE, &lines).expect("write warm-up goldens fixture");
-            return;
-        }
-        let golden = std::fs::read_to_string(FIXTURE)
-            .expect("missing tests/goldens/warmup_goldens.tsv — run once with SPECMPK_BLESS=1");
-        assert_eq!(golden, lines, "fast-forward warm-up bytes diverged from the goldens");
+        check_golden(FIXTURE, &lines, "fast-forward warm-up bytes");
     }
 }

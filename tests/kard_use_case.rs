@@ -10,6 +10,7 @@ use specmpk::core_model::registry;
 use specmpk::isa::{Assembler, BranchCond, DataSegment, MemWidth, Program, Reg};
 use specmpk::mpk::{Pkey, Pkru};
 use specmpk::ooo::{Core, ExitReason, FaultMode, SimConfig};
+use specmpk::trace::{SquashCause, TraceEvent, TraceSink};
 
 /// A "critical section" loop: N accesses to a shared object whose pkey is
 /// access-disabled (Kard's trap-on-first-touch discipline).
@@ -57,17 +58,17 @@ fn kard_traps_every_shared_access_under_all_policies() {
     }
 }
 
-/// When the handler re-colors the object (Kard grants the lock owner
-/// access), subsequent accesses stop trapping — the WRPKRU-window must
-/// correctly observe the *enabling* update too.
-#[test]
-fn kard_lock_acquisition_stops_traps() {
+/// Kard's lock acquisition: one trapping access to the shared object,
+/// then a "handler" WRPKRU grants access, and the accesses after it do
+/// not trap.
+fn lock_acquisition_program() -> Program {
     let shared_key = Pkey::new(6).unwrap();
     let mut asm = Assembler::new(0x1000);
     asm.set_pkru(Pkru::ALL_ACCESS.with_access_disabled(shared_key, true).bits());
     asm.li(Reg::T0, 0x8000);
-    asm.load(Reg::T1, Reg::T0, 0, MemWidth::D); // traps once
-                                                // "Handler" grants access (Kard maps the object to the lock owner).
+    // Traps once; the "handler" then grants access (Kard maps the object
+    // to the lock owner).
+    asm.load(Reg::T1, Reg::T0, 0, MemWidth::D);
     asm.set_pkru(Pkru::ALL_ACCESS.bits());
     asm.li(Reg::S2, 0xC0DE);
     asm.store(Reg::S2, Reg::T0, 0, MemWidth::D); // no trap now
@@ -75,7 +76,15 @@ fn kard_lock_acquisition_stops_traps() {
     asm.halt();
     let mut p = Program::new(asm.base(), asm.assemble().unwrap());
     p.add_segment(DataSegment::zeroed("shared_object", 0x8000, 4096, shared_key));
+    p
+}
 
+/// When the handler re-colors the object (Kard grants the lock owner
+/// access), subsequent accesses stop trapping — the WRPKRU-window must
+/// correctly observe the *enabling* update too.
+#[test]
+fn kard_lock_acquisition_stops_traps() {
+    let p = lock_acquisition_program();
     for policy in registry::all() {
         let mut config = SimConfig::with_policy(policy);
         config.fault_mode = FaultMode::TrapAndContinue;
@@ -84,5 +93,63 @@ fn kard_lock_acquisition_stops_traps() {
         assert_eq!(result.exit, ExitReason::Halted, "{policy}");
         assert_eq!(result.stats.protection_faults, 1, "{policy}");
         assert_eq!(result.reg(Reg::S3), 0xC0DE, "{policy}");
+    }
+}
+
+/// Keeps every event the core emits.
+#[derive(Default)]
+struct Recorder(Vec<TraceEvent>);
+
+impl TraceSink for Recorder {
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn record(&mut self, event: TraceEvent) {
+        self.0.push(event);
+    }
+}
+
+/// The trap's pipeline flush is a squash like any other: it frees the
+/// `ROB_pkru` entry of every WRPKRU it kills, and the squash counters
+/// count its victims and its batch.
+#[test]
+fn fault_flush_reports_its_victims_like_a_squash() {
+    let p = lock_acquisition_program();
+    for policy in registry::all() {
+        let mut config = SimConfig::with_policy(policy);
+        config.fault_mode = FaultMode::TrapAndContinue;
+        let mut core = Core::with_sink(config, &p, Recorder::default());
+        let result = core.run();
+        let events = core.into_sink().0;
+        assert_eq!(result.exit, ExitReason::Halted, "{policy}");
+        assert!(
+            events.iter().any(|e| matches!(
+                e,
+                TraceEvent::SquashBatch { cause: SquashCause::FaultFlush, .. }
+            )),
+            "{policy}: the trap must flush"
+        );
+        let seqs = |alloc: bool| {
+            let mut seqs: Vec<u64> = events
+                .iter()
+                .filter_map(|e| match *e {
+                    TraceEvent::RobPkruAlloc { seq, .. } if alloc => Some(seq),
+                    TraceEvent::RobPkruFree { seq, .. } if !alloc => Some(seq),
+                    _ => None,
+                })
+                .collect();
+            seqs.sort_unstable();
+            seqs
+        };
+        assert_eq!(seqs(true), seqs(false), "{policy}: every ROB_pkru entry is freed once");
+        let squashes = events.iter().filter(|e| matches!(e, TraceEvent::Squash { .. })).count();
+        let batches = events.iter().filter(|e| matches!(e, TraceEvent::SquashBatch { .. })).count();
+        assert_eq!(result.stats.squashed, squashes as u64, "{policy}: squashed victims");
+        assert_eq!(
+            result.stats.hist.squash_depth.count(),
+            batches as u64,
+            "{policy}: squash batches"
+        );
     }
 }

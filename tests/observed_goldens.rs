@@ -11,6 +11,9 @@
 //! `SPECMPK_BLESS=1 cargo test --test observed_goldens` — but only after an
 //! intentional change to the event stream or the JSONL schema.
 
+mod common;
+
+use common::check_golden;
 use specmpk::attacks::all_attacks;
 use specmpk::core_model::PolicyRef;
 use specmpk::isa::Program;
@@ -76,11 +79,5 @@ fn observed_jsonl_bytes_match_the_committed_goldens() {
             lines += &observe(&format!("{}/{}", attack.kind().name(), policy.key()), core);
         }
     }
-    if std::env::var_os("SPECMPK_BLESS").is_some() {
-        std::fs::write(FIXTURE, &lines).expect("write observed goldens fixture");
-        return;
-    }
-    let golden = std::fs::read_to_string(FIXTURE)
-        .expect("missing tests/goldens/observed_goldens.tsv — run once with SPECMPK_BLESS=1");
-    assert_eq!(golden, lines, "journal or ledger JSONL bytes diverged from the goldens");
+    check_golden(FIXTURE, &lines, "journal or ledger JSONL bytes");
 }

@@ -3,31 +3,18 @@
 //! architectural results on the out-of-order core — under every policy and
 //! ROB_pkru size — and on the in-order reference interpreter.
 
+mod common;
+
+use common::{check_golden, interpret, short};
 use specmpk::core_model::{registry, PolicyRef};
-use specmpk::isa::{Program, Reg};
-use specmpk::mpk::Pkru;
-use specmpk::ooo::arch::{ArchExit, Interp};
-use specmpk::ooo::{ArchState, Checkpoint, Core, ExitReason, FastForward, SimConfig};
+use specmpk::isa::Reg;
+use specmpk::ooo::{Checkpoint, Core, ExitReason, FastForward, SimConfig};
 use specmpk::workloads::{standard_suite, Protection, Workload};
 
 /// Suite indices whose drivers stay small at the property tests' iteration
 /// counts (the long-running profiles — gcc, blender, x264, both mcf's —
 /// would dominate wall clock without adding coverage).
 const LIGHT: [usize; 10] = [0, 1, 3, 4, 6, 8, 10, 11, 12, 13];
-
-fn short(workload: &Workload, iterations: u32) -> Workload {
-    let mut profile = workload.profile;
-    profile.driver_iterations = iterations;
-    Workload::from_profile(profile)
-}
-
-/// Runs the reference interpreter until `program` halts: the final state
-/// and the instruction count.
-fn interpret(program: &Program) -> (ArchState, u64) {
-    let mut machine = Interp::new(program, Pkru::ALL_ACCESS);
-    assert_eq!(machine.step_n(20_000_000), Some(ArchExit::Halted), "reference run must halt");
-    (machine.state().clone(), machine.executed())
-}
 
 fn check_workload(workload: &Workload, protection: Protection) {
     let program = workload.build(protection);
@@ -215,21 +202,15 @@ mod policy_goldens {
                 lines += &case.row(SimConfig::with_policy(policy));
             }
         }
-        if std::env::var_os("SPECMPK_BLESS").is_some() {
-            std::fs::write(FIXTURE, &lines).expect("write goldens fixture");
-            return;
-        }
-        let golden = std::fs::read_to_string(FIXTURE)
-            .expect("missing tests/goldens/policy_goldens.tsv — run once with SPECMPK_BLESS=1");
-        assert_eq!(golden, lines, "SimResult observables diverged from the pre-refactor goldens");
+        check_golden(FIXTURE, &lines, "SimResult observables");
     }
 }
 
-/// Differential coverage for the data-oriented fast paths (DESIGN.md §13):
-/// the idle-cycle bulk advance and the fused rename+issue path are pure
-/// host-side shortcuts, so a core with both knobs off must produce *the
-/// same cycle count* — not just the same architectural state — as the
-/// default core, and both must match the reference interpreter.
+/// Differential coverage for the data-oriented fast path (DESIGN.md §13):
+/// the idle-cycle bulk advance is a pure host-side shortcut, so a core
+/// with its knob off must produce *the same cycle count* — not just the
+/// same architectural state — as the default core, and both must match
+/// the reference interpreter.
 mod fast_path_equivalence {
     use super::*;
     use proptest::prelude::*;
@@ -238,7 +219,6 @@ mod fast_path_equivalence {
     fn slow_config(policy: PolicyRef) -> SimConfig {
         let mut config = SimConfig::with_policy(policy);
         config.idle_skip = false;
-        config.fuse_rename_issue = false;
         config
     }
 
@@ -268,11 +248,11 @@ mod fast_path_equivalence {
                 prop_assert_eq!(&fast.exit, &slow.exit, "{}", policy);
                 prop_assert_eq!(
                     fast.stats.cycles, slow.stats.cycles,
-                    "{}: fast paths changed the cycle count", policy
+                    "{}: idle skip changed the cycle count", policy
                 );
                 prop_assert_eq!(
                     fast.stats.retired, slow.stats.retired,
-                    "{}: fast paths changed the retired count", policy
+                    "{}: idle skip changed the retired count", policy
                 );
                 prop_assert_eq!(fast.pkru(), slow.pkru(), "{}", policy);
                 prop_assert_eq!(fast.pkru(), reference.pkru, "{}", policy);
@@ -282,14 +262,14 @@ mod fast_path_equivalence {
                 }
                 // The slow core took every cycle the long way.
                 prop_assert_eq!(slow.stats.idle_cycles_skipped, 0, "{}", policy);
-                prop_assert_eq!(slow.stats.fused_rename_issue_instrs, 0, "{}", policy);
             }
         }
     }
 
-    /// The knobs-off core must also reproduce the committed per-policy
-    /// goldens *unblessed* — the fixture predates the data-oriented
-    /// pipeline, so this pins both fast paths to the pre-refactor timing.
+    /// The core without idle skip must also reproduce the committed
+    /// per-policy goldens *unblessed* — the fixture predates the
+    /// data-oriented pipeline, so this pins the fast path to the
+    /// pre-refactor timing.
     #[test]
     fn slow_core_reproduces_policy_goldens() {
         let golden = std::fs::read_to_string(concat!(
@@ -303,7 +283,7 @@ mod fast_path_equivalence {
                 lines += &case.row(slow_config(policy));
             }
         }
-        assert_eq!(golden, lines, "knobs-off core diverged from the committed goldens");
+        assert_eq!(golden, lines, "the core without idle skip diverged from the committed goldens");
     }
 }
 
