@@ -68,8 +68,10 @@ pub fn sampled_run(
     let base = Checkpoint::capture(ff);
     // The checkpoint's page store keeps a `Cell`-based lookup cache, so a
     // shared `&Checkpoint` is not `Sync`; each window cell gets its own
-    // fast-forward resumed from it instead. A window copies the memory
-    // image twice: once for that resume and once for its boot.
+    // fast-forward resumed from it instead. The resume, the window's
+    // capture and its boot share the checkpoint's frozen image: each copies
+    // only the pages it writes, and the capture moves the resumed engine's
+    // pages instead of copying them.
     let cells: Vec<(String, (u64, FastForward<'_>))> = (0..windows as u64)
         .map(|i| {
             (format!("sampled/{}/window{i}", policy.key()), (i, base.resume_fast_forward(program)))

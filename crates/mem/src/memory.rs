@@ -3,6 +3,7 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 use crate::{page_offset, vpn, PAGE_BYTES};
 
@@ -11,6 +12,10 @@ const NO_PAGE: u64 = u64::MAX;
 
 /// Entries of the direct-mapped VPN → slot cache in front of the index.
 const RECENT: usize = 256;
+
+/// The slot bit of a page in the frozen image: the other bits index
+/// `SparseMemory::shared` instead of `SparseMemory::owned`.
+const SHARED: u32 = 1 << 31;
 
 /// One materialized page.
 type Page = Box<[u8; PAGE_BYTES as usize]>;
@@ -59,12 +64,21 @@ type VpnIndex = HashMap<u64, u32, BuildHasherDefault<VpnHasher>>;
 /// 1 GiB) without cost. This is the *functional* store; all timing lives in
 /// the cache hierarchy.
 ///
-/// Layout: page payloads live in one slab (`pages`), located through a
-/// VPN → slot index with a cheap multiplicative hasher, fronted by a
-/// 256-entry direct-mapped cache of recent lookups, so accesses to the
-/// pages a program is working in skip the index.
+/// Layout: a VPN → slot index with a cheap multiplicative hasher, fronted
+/// by a 256-entry direct-mapped cache of recent lookups, so accesses to
+/// the pages a program is working in skip the index. A slot names either
+/// a page this memory owns and writes in place, or a page of its *frozen
+/// image*, which it shares with other memories and never writes.
 /// 1-, 2-, 4- and 8-byte accesses inside one page are fixed-width copies;
 /// only accesses straddling a 4 KiB boundary fall back to per-byte.
+///
+/// Copy-on-write: [`SparseMemory::freeze`] moves every owned page into the
+/// frozen image without copying it; a clone shares the frozen pages (one
+/// reference count each) and copies only the owned ones; the first write
+/// to a shared page copies that one page into an owned page. A checkpoint
+/// freezes its image, so a boot or a resume from it copies only the pages
+/// it writes. A read or write of an owned page costs one recent-cache
+/// probe and touches no reference count.
 ///
 /// # Examples
 ///
@@ -75,17 +89,27 @@ type VpnIndex = HashMap<u64, u32, BuildHasherDefault<VpnHasher>>;
 /// m.write_uint(0xFFFF_0000, 4, 0xABCD);
 /// assert_eq!(m.read_uint(0xFFFF_0000, 4), 0xABCD);
 /// assert_eq!(m.read_uint(0x0, 8), 0); // untouched memory reads zero
+///
+/// m.freeze();
+/// let mut copy = m.clone(); // shares the page
+/// copy.write_uint(0xFFFF_0000, 4, 7); // copies it
+/// assert_eq!((m.read_uint(0xFFFF_0000, 4), copy.read_uint(0xFFFF_0000, 4)), (0xABCD, 7));
 /// ```
 #[derive(Debug, Clone)]
 pub struct SparseMemory {
     index: VpnIndex,
-    pages: Vec<Page>,
+    /// Pages this memory writes in place.
+    owned: Vec<Page>,
+    /// The frozen image: pages shared with every memory cloned from this
+    /// one since it froze them. The `Arc` holds the moved `Box`, so
+    /// freezing a page copies none of its bytes.
+    shared: Vec<Arc<Page>>,
     /// Direct-mapped cache of `(vpn, slot)` lookups, `NO_PAGE` when empty,
     /// at [`recent_index`]. `Cell`s so the read path (`&self`) can refresh
     /// it; the simulator never shares one memory across threads (each
     /// parallel experiment cell owns its core), so losing `Sync` costs
     /// nothing.
-    recent: Box<[Cell<(u64, u32)>]>,
+    recent: Box<[Cell<(u64, u32)>; RECENT]>,
 }
 
 impl Default for SparseMemory {
@@ -100,12 +124,13 @@ impl SparseMemory {
     pub fn new() -> Self {
         SparseMemory {
             index: VpnIndex::default(),
-            pages: Vec::new(),
-            recent: vec![Cell::new((NO_PAGE, 0)); RECENT].into_boxed_slice(),
+            owned: Vec::new(),
+            shared: Vec::new(),
+            recent: Box::new(std::array::from_fn(|_| Cell::new((NO_PAGE, 0)))),
         }
     }
 
-    /// The slab slot holding `page`, if materialized.
+    /// The slot holding `page`, if materialized.
     #[inline]
     fn slot_of(&self, page: u64) -> Option<u32> {
         let recent = &self.recent[recent_index(page)];
@@ -118,30 +143,88 @@ impl SparseMemory {
         Some(slot)
     }
 
+    /// The bytes of the page in `slot`.
+    #[inline]
+    fn bytes(&self, slot: u32) -> &[u8; PAGE_BYTES as usize] {
+        if slot & SHARED == 0 {
+            &self.owned[slot as usize]
+        } else {
+            self.shared_bytes(slot)
+        }
+    }
+
+    /// [`SparseMemory::bytes`] of a shared page, out of line: the in-page
+    /// read path then stays small enough for the compiler to inline.
+    #[inline(never)]
+    fn shared_bytes(&self, slot: u32) -> &[u8; PAGE_BYTES as usize] {
+        &self.shared[(slot ^ SHARED) as usize]
+    }
+
     /// The page holding `page`, if materialized.
     #[inline]
     fn page(&self, page: u64) -> Option<&[u8; PAGE_BYTES as usize]> {
-        self.slot_of(page).map(|slot| &*self.pages[slot as usize])
+        self.slot_of(page).map(|slot| self.bytes(slot))
     }
 
-    /// The page holding `page`, materializing it (zero-filled) on first
-    /// touch.
+    /// The page holding `page`, made an owned page first if it is not one.
     #[inline]
     fn page_mut(&mut self, page: u64) -> &mut [u8; PAGE_BYTES as usize] {
         let slot = match self.slot_of(page) {
-            Some(slot) => slot,
-            None => self.materialize(page),
+            Some(slot) if slot & SHARED == 0 => slot,
+            found => self.own(page, found),
         };
-        &mut self.pages[slot as usize]
+        &mut self.owned[slot as usize]
     }
 
-    /// Adds a zero-filled page for `page`, returning its slot.
-    fn materialize(&mut self, page: u64) -> u32 {
-        let slot = u32::try_from(self.pages.len()).expect("fewer than 2^32 pages");
-        self.pages.push(Box::new([0; PAGE_BYTES as usize]));
+    /// Gives `page` an owned page, returning its slot: a copy of the
+    /// shared page in `found`, or a zero-filled page if there is none. Out
+    /// of line and cold: it runs once per page and owner, so the write path
+    /// keeps only the slot test.
+    #[cold]
+    fn own(&mut self, page: u64, found: Option<u32>) -> u32 {
+        let bytes = match found {
+            Some(shared) => Page::clone(&self.shared[(shared ^ SHARED) as usize]),
+            None => Box::new([0; PAGE_BYTES as usize]),
+        };
+        let slot = self.next_owned_slot();
+        self.owned.push(bytes);
         self.index.insert(page, slot);
         self.recent[recent_index(page)].set((page, slot));
         slot
+    }
+
+    /// The slot the next owned page gets.
+    fn next_owned_slot(&self) -> u32 {
+        u32::try_from(self.owned.len()).ok().filter(|&s| s < SHARED).expect("fewer than 2^31 pages")
+    }
+
+    /// Moves every owned page into the frozen image, so that clones share
+    /// it instead of copying it, and drops the shared pages this memory
+    /// has replaced with its own. Copies no page bytes: a page's box moves
+    /// behind an `Arc`. The image holds the pages in ascending-VPN order,
+    /// the order [`SparseMemory::restore_snapshot`] lays them out in.
+    pub fn freeze(&mut self) {
+        let mut owned: Vec<Option<Page>> =
+            std::mem::take(&mut self.owned).into_iter().map(Some).collect();
+        let mut shared: Vec<Option<Arc<Page>>> =
+            std::mem::take(&mut self.shared).into_iter().map(Some).collect();
+        for (vpn, slot) in self.sorted_slots() {
+            let page = if slot & SHARED == 0 {
+                owned[slot as usize].take().map(Arc::new)
+            } else {
+                shared[(slot ^ SHARED) as usize].take()
+            };
+            self.index.insert(vpn, SHARED | self.shared.len() as u32);
+            self.shared.push(page.expect("each slot is indexed once"));
+        }
+        self.recent.fill(Cell::new((NO_PAGE, 0)));
+    }
+
+    /// Every `(vpn, slot)` of the index, in ascending-VPN order.
+    fn sorted_slots(&self) -> Vec<(u64, u32)> {
+        let mut slots: Vec<(u64, u32)> = self.index.iter().map(|(&v, &s)| (v, s)).collect();
+        slots.sort_unstable_by_key(|&(vpn, _)| vpn);
+        slots
     }
 
     /// Reads one byte (zero if the page was never written).
@@ -269,7 +352,7 @@ impl SparseMemory {
     /// Number of pages that have been materialized.
     #[must_use]
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.index.len()
     }
 
     /// Serializes every materialized page for a checkpoint as
@@ -280,12 +363,11 @@ impl SparseMemory {
     #[must_use]
     pub fn snapshot(&self) -> specmpk_trace::Json {
         use specmpk_trace::Json;
-        let mut slots: Vec<(u64, u32)> = self.index.iter().map(|(&v, &s)| (v, s)).collect();
-        slots.sort_unstable_by_key(|&(vpn, _)| vpn);
-        let pages: Vec<Json> = slots
+        let pages: Vec<Json> = self
+            .sorted_slots()
             .into_iter()
             .map(|(vpn, slot)| {
-                let data = &self.pages[slot as usize];
+                let data = self.bytes(slot);
                 let mut hex = String::with_capacity(data.len() * 2);
                 for b in data.iter() {
                     hex.push(char::from_digit(u32::from(b >> 4), 16).expect("nibble"));
@@ -308,7 +390,8 @@ impl SparseMemory {
     pub fn restore_snapshot(&mut self, snap: &specmpk_trace::Json) -> Result<(), String> {
         let pages = snap.get("pages").and_then(|j| j.as_arr()).ok_or("memory: bad pages array")?;
         self.index = VpnIndex::default();
-        self.pages = Vec::with_capacity(pages.len());
+        self.owned = Vec::with_capacity(pages.len());
+        self.shared = Vec::new();
         self.recent.fill(Cell::new((NO_PAGE, 0)));
         for entry in pages {
             let row = entry.as_arr().filter(|r| r.len() == 2).ok_or("memory: malformed page")?;
@@ -327,11 +410,10 @@ impl SparseMemory {
                     _ => return Err(format!("memory: page {vpn:#x} has non-hex payload")),
                 }
             }
-            let slot = u32::try_from(self.pages.len()).expect("fewer than 2^32 pages");
-            if self.index.insert(vpn, slot).is_some() {
+            if self.index.insert(vpn, self.next_owned_slot()).is_some() {
                 return Err(format!("memory: duplicate page {vpn:#x}"));
             }
-            self.pages.push(data);
+            self.owned.push(data);
         }
         Ok(())
     }
@@ -459,6 +541,95 @@ mod tests {
         m.write_uint(0x500, 8, 99);
         assert_eq!(snapshot.read_u64(0x500), 42);
         assert_eq!(m.read_u64(0x500), 99);
+    }
+
+    /// Pages 3, 5 and 7, written in the order 7, 3, 5, page `p` filled
+    /// with byte `p`.
+    fn three_pages() -> SparseMemory {
+        let mut m = SparseMemory::new();
+        for p in [7u8, 3, 5] {
+            m.write_bytes(u64::from(p) * PAGE_BYTES, &[p; PAGE_BYTES as usize]);
+        }
+        m
+    }
+
+    fn frozen_image() -> SparseMemory {
+        let mut m = three_pages();
+        m.freeze();
+        m
+    }
+
+    /// Whether `a` and `b` hold the very same shared page allocations.
+    fn shares_every_page(a: &SparseMemory, b: &SparseMemory) -> bool {
+        a.shared.len() == b.shared.len()
+            && a.shared.iter().zip(&b.shared).all(|(x, y)| Arc::ptr_eq(x, y))
+    }
+
+    #[test]
+    fn freezing_moves_pages_and_clones_share_them() {
+        let mut m = three_pages();
+        let mut before: Vec<*const u8> = m.owned.iter().map(|p| p.as_ptr()).collect();
+        m.freeze();
+        // A capture: every page moved into the image, none copied, and the
+        // image holds them in ascending-VPN order.
+        assert!(m.owned.is_empty());
+        let mut after: Vec<*const u8> = m.shared.iter().map(|p| p.as_ptr()).collect();
+        assert_eq!(m.shared.iter().map(|p| p[0]).collect::<Vec<_>>(), [3, 5, 7]);
+        before.sort_unstable();
+        after.sort_unstable();
+        assert_eq!(before, after, "freezing must move the page buffers");
+        // A boot, a resume or a checkpoint clone: shares every page.
+        let boot = m.clone();
+        assert!(boot.owned.is_empty() && shares_every_page(&boot, &m));
+        assert_eq!(boot.snapshot().dump(), m.snapshot().dump());
+    }
+
+    #[test]
+    fn a_shared_page_is_copied_once_per_owner() {
+        let image = frozen_image();
+        let (mut a, mut b) = (image.clone(), image.clone());
+        for i in 0..100 {
+            a.write_uint(5 * PAGE_BYTES + 8 * i, 8, i);
+        }
+        assert_eq!(a.owned.len(), 1, "a hundred writes to one page copy it once");
+        b.write_byte(5 * PAGE_BYTES + 1, 0xEE);
+        b.write_byte(3 * PAGE_BYTES, 0xDD);
+        b.write_byte(9 * PAGE_BYTES, 0xCC);
+        assert_eq!(b.owned.len(), 3, "two copies and one new page");
+        // The copy starts from the shared bytes; every owner reads its own.
+        assert_eq!(a.read_u64(5 * PAGE_BYTES + 8 * 99), 99);
+        assert_eq!(a.read_byte(5 * PAGE_BYTES + 4095), 5);
+        assert_eq!((b.read_byte(5 * PAGE_BYTES), b.read_byte(5 * PAGE_BYTES + 1)), (5, 0xEE));
+        assert_eq!((image.read_byte(5 * PAGE_BYTES + 1), image.read_byte(9 * PAGE_BYTES)), (5, 0));
+        assert_eq!((a.resident_pages(), b.resident_pages(), image.resident_pages()), (3, 4, 3));
+        assert!(shares_every_page(&a, &image) && shares_every_page(&b, &image));
+    }
+
+    #[test]
+    fn a_recapture_adds_only_the_pages_written_since() {
+        let image = frozen_image();
+        let mut resumed = image.clone();
+        resumed.write_byte(5 * PAGE_BYTES, 0xEE);
+        resumed.write_byte(9 * PAGE_BYTES, 0xCC);
+        resumed.freeze();
+        // Pages 3 and 7 are still the image's; 5 (copied) and 9 (new) are
+        // the two written, and the replaced copy of 5 is dropped.
+        let kept: Vec<bool> = resumed
+            .shared
+            .iter()
+            .map(|page| image.shared.iter().any(|old| Arc::ptr_eq(old, page)))
+            .collect();
+        assert_eq!(kept, [true, false, true, false], "pages 3, 5, 7, 9");
+        assert!(resumed.owned.is_empty());
+        assert_eq!(
+            (resumed.read_byte(5 * PAGE_BYTES), resumed.read_byte(5 * PAGE_BYTES + 1)),
+            (0xEE, 5)
+        );
+        assert_eq!(image.read_byte(5 * PAGE_BYTES), 5);
+        // Restoring the re-frozen image's snapshot gives the same bytes.
+        let mut restored = SparseMemory::new();
+        restored.restore_snapshot(&resumed.snapshot()).unwrap();
+        assert_eq!(restored.snapshot().dump(), resumed.snapshot().dump());
     }
 
     #[test]

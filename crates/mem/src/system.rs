@@ -357,6 +357,13 @@ impl MemorySystem {
         self.memory.write_bytes(addr, bytes);
     }
 
+    /// Freezes the memory image ([`SparseMemory::freeze`]): its pages move,
+    /// uncopied, into an image that clones of this system share, and each
+    /// copy then copies a page only on its first write to it.
+    pub fn freeze(&mut self) {
+        self.memory.freeze();
+    }
+
     /// Evicts the line containing `addr` from all cache levels (`clflush`).
     pub fn flush_line(&mut self, addr: u64) {
         self.caches.flush_line(addr);

@@ -89,43 +89,49 @@ proptest! {
     }
 
     /// Clone isolation: writes of every width, some straddling a page
-    /// boundary, go to a memory and to two clones taken at random points
-    /// (the second from a random one of the copies alive then). Every copy
-    /// must read back exactly its own reference byte map, after each write
-    /// and at the end: a write through one copy never shows in another,
-    /// and a clone carries every byte written before it was taken. A
-    /// checkpoint boot and a resumed fast-forward rely on both.
+    /// boundary, go to a memory and to clones taken at random points, each
+    /// from a random one of the copies alive then, which is first frozen
+    /// half of the time, so clones share frozen pages, and clones of
+    /// frozen clones chain them. Every copy must read back exactly its own
+    /// reference byte map, after each write and at the end: a write
+    /// through one copy never shows in another, and a clone carries every
+    /// byte written before it was taken. Each copy's snapshot must equal
+    /// that of a twin given the same writes that never froze or shared a
+    /// page. A checkpoint, a boot and a resumed fast-forward rely on all
+    /// of it.
     #[test]
     fn clones_read_back_their_own_writes(
         writes in prop::collection::vec(
-            (0usize..3, 0u64..4, any::<bool>(), 0u64..4096, 1u64..=8, any::<u64>()),
+            (0usize..4, 0u64..4, any::<bool>(), 0u64..4096, 1u64..=8, any::<u64>()),
             1..160,
         ),
-        first_clone in 0usize..160,
-        second_clone in (0usize..160, 0usize..2),
+        clones in prop::collection::vec((0usize..160, 0usize..4, any::<bool>()), 1..6),
     ) {
-        let mut copies = vec![(SparseMemory::new(), BTreeMap::<u64, u8>::new())];
+        // (memory, its twin that never shares a page, reference bytes)
+        let mut copies = vec![(SparseMemory::new(), SparseMemory::new(), BTreeMap::<u64, u8>::new())];
         let mut touched = Vec::new();
         for (i, &(target, page, edge, offset, width, value)) in writes.iter().enumerate() {
-            if i == first_clone {
-                copies.push(copies[0].clone());
-            }
-            if i == second_clone.0 {
-                copies.push(copies[second_clone.1 % copies.len()].clone());
+            for &(_, from, freeze) in clones.iter().filter(|c| c.0 == i) {
+                let from = from % copies.len();
+                if freeze {
+                    copies[from].0.freeze();
+                }
+                copies.push(copies[from].clone());
             }
             // Near the end of a page, a write of more than `offset % 8 + 1`
             // bytes straddles into the next one.
             let addr = page * 4096 + if edge { 4095 - offset % 8 } else { offset };
             let n = copies.len();
-            let (mem, reference) = &mut copies[target % n];
+            let (mem, twin, reference) = &mut copies[target % n];
             mem.write_uint(addr, width, value);
+            twin.write_uint(addr, width, value);
             for k in 0..width {
                 reference.insert(addr + k, (value >> (8 * k)) as u8);
             }
             prop_assert_eq!(mem.read_uint(addr, width), read_reference(reference, addr, width));
             touched.push((addr, width));
         }
-        for (c, (mem, reference)) in copies.iter().enumerate() {
+        for (c, (mem, twin, reference)) in copies.iter().enumerate() {
             for &(addr, width) in &touched {
                 for w in [1, width, 8] {
                     prop_assert_eq!(
@@ -135,6 +141,7 @@ proptest! {
                     );
                 }
             }
+            prop_assert_eq!(mem.snapshot().dump(), twin.snapshot().dump(), "copy {}", c);
         }
     }
 

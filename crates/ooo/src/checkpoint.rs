@@ -57,20 +57,27 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Captures a checkpoint from a fast-forward engine, consuming it.
+    /// Captures a checkpoint from a fast-forward engine, consuming it. The
+    /// engine's memory pages move into a frozen image
+    /// ([`MemorySystem::freeze`]) without being copied; resumes and boots
+    /// from the checkpoint, and its clones, share that image.
     #[must_use]
     pub fn capture(ff: FastForward<'_>) -> Self {
+        let mut mem = ff.mem;
+        mem.freeze();
         Checkpoint {
             arch: ff.state,
             executed: ff.executed,
-            mem: ff.mem,
+            mem,
             predictor: ff.fx.predictor,
             last_fetch_line: ff.fx.last_fetch_line,
         }
     }
 
     /// Resumes functional execution from this checkpoint (cloning the
-    /// captured state, so the checkpoint can seed further windows).
+    /// captured state, so the checkpoint can seed further windows). The
+    /// engine shares the checkpoint's memory image and copies a page only
+    /// when it first writes it.
     #[must_use]
     pub fn resume_fast_forward<'p>(&self, program: &'p specmpk_isa::Program) -> FastForward<'p> {
         let fx =
@@ -141,7 +148,8 @@ impl Checkpoint {
         };
 
         let mem_json = json.get("mem").ok_or("checkpoint: missing mem")?;
-        let mem = MemorySystem::from_snapshot(config.mem, mem_json)?;
+        let mut mem = MemorySystem::from_snapshot(config.mem, mem_json)?;
+        mem.freeze();
         let predictor_json = json.get("predictor").ok_or("checkpoint: missing predictor")?;
         let mut predictor = BranchPredictor::new(config.predictor);
         predictor.restore_snapshot(predictor_json)?;

@@ -206,9 +206,10 @@ impl Core {
     /// (ROB, IQ, PRF mappings) start empty — exactly the state a detailed
     /// run would hold at that instruction boundary with no in-flight
     /// work. Cycle count and statistics start at zero, so the run's stats
-    /// describe only the detailed window. The core runs on one copy of the
+    /// describe only the detailed window. The core runs on a clone of the
     /// checkpoint's memory system and predictor, and the checkpoint is
-    /// left as it was.
+    /// left as it was: the clone shares the checkpoint's frozen memory
+    /// image and copies a page only when a store first retires to it.
     ///
     /// # Panics
     ///

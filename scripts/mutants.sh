@@ -109,6 +109,10 @@ mutant target-one-op-off "$arch" \
 mutant hint-without-tag-check crates/mem/src/ways.rs \
     'if self.tags.get(way) == Some(&tag) {' 'if way < self.tags.len() {' \
     --test fast_forward warmup_goldens
+mutant cow-copy-zeroes crates/mem/src/memory.rs \
+    'Some(shared) => Page::clone(&self.shared[(shared ^ SHARED) as usize]),' \
+    'Some(_) => Box::new([0; PAGE_BYTES as usize]),' \
+    -p specmpk-mem --test properties clones_read_back_their_own_writes
 mutant dtlb-hit-keeps-lru crates/mem/src/tlb.rs \
     $'self.clock += 1;\n        self.ways.touch(way, self.clock);\n    }\n\n    /// Promotes' \
     $'self.clock += 1;\n    }\n\n    /// Promotes' \

@@ -52,13 +52,15 @@ USAGE:
     specmpk-sim --list
     specmpk-sim --workload <NAME> [--policy serialized|nonsecure|specmpk|all]
                 [--protection scheme|none|nop] [--instructions N] [--rob-pkru N]
-    specmpk-sim --attack v1|bti|overflow [--policy ...]
+    specmpk-sim --attack v1|bti|overflow [--policy ...] [--leak-ledger PATH]
 
 OPTIONS:
     --list               list the 16 suite workloads and exit
     --list-policies      list the registered WRPKRU policies and exit
     --workload NAME      substring of a suite workload name (e.g. 'omnetpp_r')
-    --attack KIND        run a PoC instead of a workload
+    --attack KIND        run a PoC instead of a workload; it reads only
+                         --policy and --leak-ledger and refuses the
+                         workload flags
     --policy P           a registered policy key, or 'all' (default: all)
     --protection S       'scheme' (the workload's own, default), 'none', 'nop'
     --instructions N     retired-instruction budget (default 500000)
@@ -99,6 +101,25 @@ OPTIONS:
                          workload's region map in the JSON artifact"
 }
 
+/// The flags an `--attack` run does not read, refused with it rather than
+/// silently ignored.
+const NOT_FOR_ATTACKS: [&str; 14] = [
+    "--workload",
+    "--trace",
+    "--journal",
+    "--stats-json",
+    "--trace-interval",
+    "--fast-forward",
+    "--checkpoint",
+    "--restore",
+    "--instructions",
+    "--protection",
+    "--rob-pkru",
+    "--progress",
+    "--profile",
+    "--profile-guest",
+];
+
 fn parse(mut argv: std::env::Args) -> Result<Args, String> {
     let _ = argv.next();
     let mut args = Args {
@@ -122,7 +143,10 @@ fn parse(mut argv: std::env::Args) -> Result<Args, String> {
         profile: false,
         profile_guest: None,
     };
+    let mut given = Vec::new();
     while let Some(flag) = argv.next() {
+        let name = flag.split('=').next().unwrap_or_default();
+        given.extend(NOT_FOR_ATTACKS.iter().copied().find(|&n| n == name));
         let mut value = |name: &str| argv.next().ok_or_else(|| format!("{name} needs a value"));
         match flag.as_str() {
             "--list" => args.list = true,
@@ -169,6 +193,11 @@ fn parse(mut argv: std::env::Args) -> Result<Args, String> {
             }
             other => return Err(format!("unknown flag {other}\n\n{}", usage())),
         }
+    }
+    if let (Some(_), Some(flag)) = (&args.attack, given.first()) {
+        return Err(format!(
+            "{flag}: not read by --attack, which takes --policy and --leak-ledger"
+        ));
     }
     Ok(args)
 }

@@ -206,12 +206,28 @@ mod checkpoint_boot {
             .collect();
         let mut resumed = cp.resume_fast_forward(&program);
         assert_eq!(resumed.step_n(u64::MAX), Some(ArchExit::Halted));
+        let image = |m: &specmpk::mem::MemorySystem| m.snapshot().get("memory").unwrap().dump();
         for core in &mut cores {
             assert_eq!(core.run().exit, ExitReason::Halted);
-            let image = |m: &specmpk::mem::MemorySystem| m.snapshot().get("memory").unwrap().dump();
             assert_ne!(image(core.mem()), image(&cp.mem), "the run must write memory");
         }
         assert_eq!(cp.to_json().dump(), before, "running from the checkpoint changed it");
+
+        // A chained capture: resume, run (writing memory), capture, and boot
+        // from the new checkpoint. The chained checkpoint is the one a
+        // straight fast-forward reaches, and nothing run from it changes it
+        // or its parent.
+        let mut partway = cp.resume_fast_forward(&program);
+        assert_eq!(partway.step_n(executed / 3), None);
+        let chained = Checkpoint::capture(partway);
+        let chained_bytes = chained.to_json().dump();
+        assert_ne!(image(&chained.mem), image(&cp.mem), "the resumed run must write memory");
+        assert_eq!(chained_bytes, checkpoint_at(&program, 2 * (executed / 3)).to_json().dump());
+        let mut core = Core::from_checkpoint(SimConfig::default(), &program, &chained);
+        assert_eq!(core.run().exit, ExitReason::Halted);
+        assert_ne!(image(core.mem()), image(&chained.mem), "the run must write memory");
+        assert_eq!(chained.to_json().dump(), chained_bytes, "running from it changed it");
+        assert_eq!(cp.to_json().dump(), before, "a chained capture changed its parent");
     }
 
     /// A checkpoint from one cache geometry must not boot a core
